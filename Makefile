@@ -4,7 +4,7 @@
 # bench gate) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help \
+.PHONY: all build test race vet lint vulncheck help perfbench-test \
 	bench bench-baseline bench-compare \
 	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz bench-ci
 
@@ -39,6 +39,12 @@ lint: vet ## go vet + marketlint (+ staticcheck when installed)
 	else \
 		echo "lint: staticcheck not installed; skipping (the CI lint job runs it)"; \
 	fi
+
+# The benchmark harness is a Go module of its own, so `go test ./...`
+# never reaches its tests (tail rule, pin drift, BENCHMARK.json against
+# the harness's declarations); this target runs them.
+perfbench-test: ## Vet and test the perfbench harness module
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh

@@ -64,6 +64,17 @@ import (
 // after a termination signal.
 const shutdownTimeout = 5 * time.Second
 
+// The front door's connection timeouts: a client that has not finished
+// sending its request header within readHeaderTimeout, or leaves a
+// keep-alive connection idle for idleTimeout, is disconnected, so slow
+// or stalled clients cannot pin connections. There is deliberately no
+// write timeout: the /api/events SSE stream is long-lived. Variables
+// only so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	clusters := flag.Int("clusters", 8, "number of clusters (per region with -regions)")
@@ -83,7 +94,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"durable journal directory: state changes hit the WAL before taking effect, and a restart recovers the books (world flags must match the previous run)")
 	fsyncEvery := flag.Int("fsync-every", 1,
-		"journal group-commit window: fsync the WAL after every N appended records")
+		"journal group-commit window: fsync the WAL after every N appended records (an auction's settlement is one batch: it counts as one record per order plus one, but costs a single fsync)")
 	lockWait := flag.Duration("lock-wait", 0,
 		"how long to retry opening a journal directory locked by another live process (0 fails immediately); covers the restart race where the previous marketd is still draining")
 	flag.Parse()
@@ -197,7 +208,7 @@ func serve(ctx context.Context, addr string, handler http.Handler) error {
 // (SIGINT/SIGTERM), then drains in-flight requests for up to
 // shutdownTimeout. A nil return means a clean shutdown.
 func serveListener(ctx context.Context, ln net.Listener, handler http.Handler) error {
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -189,6 +189,48 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServeDropsSlowHeader sends half a request header and stalls: the
+// front door must hang up once the header timeout passes instead of
+// holding the connection open.
+func TestServeDropsSlowHeader(t *testing.T) {
+	saved := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = saved })
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveListener(ctx, ln, http.NotFoundHandler()) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: marketd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	n, err := conn.Read(make([]byte, 512))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server held a half-sent header open for %s", time.Since(start))
+	}
+	if err == nil {
+		t.Fatalf("server answered a half-sent header with %d bytes", n)
+	}
+}
+
 func TestParseEngine(t *testing.T) {
 	if e, err := parseEngine("incremental"); err != nil || e != core.EngineIncremental {
 		t.Errorf("incremental = %v, %v", e, err)

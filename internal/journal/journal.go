@@ -437,21 +437,21 @@ func (j *Journal) Seq() uint64 {
 func (j *Journal) Dir() string { return j.dir }
 
 // Append writes one framed record to the WAL and returns its sequence
-// number. The record hits the file descriptor before Append returns (a
-// process crash cannot lose it); it is fsynced per Options.FsyncEvery
-// (power loss is bounded by the group-commit window). On failure the
-// WAL is rolled back to its pre-append length: the failed record is
-// never readable, the sequence number is not consumed, and an
-// identical retry is safe.
+// number: a one-record AppendBatch.
 func (j *Journal) Append(payload []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(payload)
+	return j.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes records as one write(2) and returns the sequence
-// of the last. The batch counts as len(payloads) records toward the
-// group-commit window. Failure rolls back the whole batch.
+// number of the last. The records hit the file descriptor before
+// AppendBatch returns (a process crash cannot lose them); the batch
+// counts as len(payloads) records toward the group-commit window
+// (Options.FsyncEvery) but costs at most one fsync, so a batch crossing
+// the window is synced once, after its last record. On failure the WAL
+// is rolled back to its pre-append length: no record of the batch is
+// readable, no sequence number is consumed, and an identical retry is
+// safe. Only a crash mid-write can leave part of a batch behind, and
+// recovery cuts that to a prefix of whole frames.
 func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -470,20 +470,6 @@ func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
 		buf = appendFrame(buf, p)
 	}
 	if err := j.writeFramesLocked(buf, len(payloads)); err != nil {
-		return 0, err
-	}
-	return j.seq, nil
-}
-
-func (j *Journal) appendLocked(payload []byte) (uint64, error) {
-	if j.dead {
-		return 0, ErrClosed
-	}
-	if err := j.repairIfTornLocked(); err != nil {
-		return 0, err
-	}
-	buf := appendFrame(make([]byte, 0, 8+len(payload)), payload)
-	if err := j.writeFramesLocked(buf, 1); err != nil {
 		return 0, err
 	}
 	return j.seq, nil
@@ -700,7 +686,7 @@ func (j *Journal) Close() error {
 	j.dead = true
 	var first error
 	if j.unsynced > 0 {
-		if err := j.wal.Sync(); err != nil && first == nil {
+		if err := j.syncWALLocked(); err != nil {
 			first = fmt.Errorf("journal: fsync on close: %w", err)
 		}
 	}

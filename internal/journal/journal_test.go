@@ -313,6 +313,10 @@ func TestAppendBatch(t *testing.T) {
 	if err != nil || seq != 3 {
 		t.Fatalf("AppendBatch: seq=%d err=%v, want 3", seq, err)
 	}
+	// Three records cross the window of 2, yet the batch syncs once.
+	if m := j.Metrics(); m.Appends != 3 || m.Fsyncs != 1 {
+		t.Fatalf("after one batch: appends=%d fsyncs=%d, want 3 and 1", m.Appends, m.Fsyncs)
+	}
 	j.Crash()
 	_, rec := mustOpen(t, dir, Options{})
 	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[a b c]"; got != want {
@@ -332,6 +336,31 @@ func TestGroupCommitSyncOnDemand(t *testing.T) {
 		t.Fatalf("idempotent Sync: %v", err)
 	}
 	j.Close()
+}
+
+// TestCloseFsyncIsCounted pins that the fsync Close makes of an
+// unsynced group-commit tail shows up in the counter and the latency
+// histogram like every other WAL fsync.
+func TestCloseFsyncIsCounted(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 64})
+	appendAll(t, j, "a")
+	if m := j.Metrics(); m.Fsyncs != 0 {
+		t.Fatalf("fsyncs before Close = %d, want 0 inside the window", m.Fsyncs)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	m := j.Metrics()
+	if m.Fsyncs != 1 {
+		t.Fatalf("fsyncs after Close = %d, want 1", m.Fsyncs)
+	}
+	observed := m.FsyncLatency.Inf
+	for _, c := range m.FsyncLatency.Counts {
+		observed += c
+	}
+	if observed != 1 {
+		t.Fatalf("fsync latency histogram holds %d samples, want 1", observed)
+	}
 }
 
 // TestTornTailAfterSnapshot combines both repair paths: snapshot intact,

@@ -19,11 +19,12 @@ import (
 //     heals. The check is one atomic load and a branch on the submit
 //     hot path (see rejectIfDegraded), so a healthy exchange pays
 //     branch-prediction noise for it.
-//   - In-flight settlement completes exactly as far as its events are
-//     durable: orders whose settlement events were journaled stay
-//     settled, the remainder of the claimed batch is released back to
-//     Open, and the auction record is not written — replaying the
-//     journal prefix reproduces the live books bit-for-bit.
+//   - In-flight settlement is all or nothing: the auction's events are
+//     journaled as one batch, so a batch that cannot be persisted
+//     settles no order — the whole claimed batch is released back to
+//     Open, no auction record is written, and the next clock reuses the
+//     number. Replaying the journal reproduces the live books
+//     bit-for-bit.
 //   - Each failed append is retried inline a bounded number of times
 //     with exponential backoff (appendWithRetry), with a journal Probe
 //     — torn-tail repair plus an fsync round trip — between attempts,
@@ -129,13 +130,13 @@ func (e *Exchange) TryResume(force bool) error {
 	return nil
 }
 
-// appendWithRetry is the bounded inline heal loop under emitEvent: a
-// failed journal append (already rolled back by the journal) is retried
-// after a Probe — repair plus fsync — with doubling backoff, so a
-// transient fault burst delays the operation by milliseconds instead of
-// failing it. The final error, if any, is the last append's.
-func (e *Exchange) appendWithRetry(raw []byte) error {
-	_, err := e.journal.Append(raw)
+// appendWithRetry is the bounded inline heal loop under journalEvents:
+// a failed journal batch (already rolled back by the journal) is
+// retried after a Probe — repair plus fsync — with doubling backoff, so
+// a transient fault burst delays the operation by milliseconds instead
+// of failing it. The final error, if any, is the last append's.
+func (e *Exchange) appendWithRetry(raws [][]byte) error {
+	_, err := e.journal.AppendBatch(raws)
 	if err == nil {
 		return nil
 	}
@@ -146,7 +147,7 @@ func (e *Exchange) appendWithRetry(raw []byte) error {
 		// Probe repairs any torn tail and tests the disk; its error is
 		// not decisive — the retried append below is the real verdict.
 		_ = e.journal.Probe()
-		if _, err = e.journal.Append(raw); err == nil {
+		if _, err = e.journal.AppendBatch(raws); err == nil {
 			return nil
 		}
 	}

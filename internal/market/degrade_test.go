@@ -43,20 +43,24 @@ func faultedExchange(t *testing.T, dir string, fire *telemetry.Firehose) (*marke
 // degradeSites enumerates every journal write site. setup runs
 // fault-free and returns the operation to fault; the same operation is
 // retried after the heal and must then succeed.
+//
+// quiesced, when set, checks the site's extra contract while the fault
+// persists, before the heal.
 var degradeSites = []struct {
-	name  string
-	setup func(t *testing.T, e *market.Exchange) func() error
+	name     string
+	setup    func(t *testing.T, e *market.Exchange) func() error
+	quiesced func(t *testing.T, e *market.Exchange)
 }{
 	{"open-account", func(t *testing.T, e *market.Exchange) func() error {
 		return func() error { return e.OpenAccount("late") }
-	}},
+	}, nil},
 	{"submit", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
 		return func() error {
 			_, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
 			return err
 		}
-	}},
+	}, nil},
 	{"cancel", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
 		o, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
@@ -64,15 +68,30 @@ var degradeSites = []struct {
 			t.Fatal(err)
 		}
 		return func() error { return e.Cancel(o.ID) }
-	}},
+	}, nil},
 	{"auction-settlement", func(t *testing.T, e *market.Exchange) func() error {
 		submitPair(t, e)
 		return func() error { _, _, err := e.RunAuction(); return err }
+	}, func(t *testing.T, e *market.Exchange) {
+		// The settlement batch is all or nothing: no order settled, no
+		// record written, and the claim released — a cancel gets past the
+		// in-auction check and fails only on the sick disk.
+		if n := e.AuctionCount(); n != 0 {
+			t.Errorf("failed settlement wrote %d auction records", n)
+		}
+		for _, o := range e.Orders() {
+			if o.Status != market.Open {
+				t.Errorf("order %d is %s after a failed settlement, want open", o.ID, o.Status)
+			}
+			if err := e.Cancel(o.ID); !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("cancel of order %d = %v, want the injected disk fault", o.ID, err)
+			}
+		}
 	}},
 	{"place", func(t *testing.T, e *market.Exchange) func() error {
 		id := wonOrder(t, e)
 		return func() error { _, err := e.PlaceOrder(id); return err }
-	}},
+	}, nil},
 	{"evict", func(t *testing.T, e *market.Exchange) func() error {
 		id := wonOrder(t, e)
 		tasks, err := e.PlaceOrder(id)
@@ -83,15 +102,15 @@ var degradeSites = []struct {
 			t.Fatal("winner placed no tasks")
 		}
 		return func() error { return e.EvictTask(tasks[0].Cluster, tasks[0].TaskID) }
-	}},
+	}, nil},
 	{"disburse", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
 		return func() error { return e.Disburse(market.ProportionalToQuota, 5000) }
-	}},
+	}, nil},
 	{"credit", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
 		return func() error { return e.Credit("ads", 250, "goodwill refund") }
-	}},
+	}, nil},
 }
 
 func openTeams(t *testing.T, e *market.Exchange) {
@@ -151,12 +170,19 @@ func TestDegradedQuiesceAtEveryWriteSite(t *testing.T) {
 				defer j.Close()
 				op := site.setup(t, ex)
 
+				seq := j.Seq()
 				inj.Arm([]fault.Window{k.window})
 				if err := op(); err == nil {
 					t.Fatal("op under persistent disk fault succeeded")
 				}
 				if !ex.Degraded() {
 					t.Fatal("exchange did not quiesce")
+				}
+				if got := j.Seq(); got != seq {
+					t.Fatalf("failed op left journal records %d..%d behind", seq+1, got)
+				}
+				if site.quiesced != nil {
+					site.quiesced(t, ex)
 				}
 				ds := ex.DegradedStatus()
 				if !ds.Degraded || ds.Cause == "" || ds.Entered != 1 {

@@ -104,20 +104,36 @@ const EventSource = "market"
 // straight to applyEvent — so a recovered process does not re-publish
 // its own history.
 func (e *Exchange) emitEvent(ev *Event) error {
-	if e.journal != nil {
+	if err := e.journalEvents(ev); err != nil {
+		return err
+	}
+	e.fire.Publish(EventSource, ev.Kind, ev)
+	return nil
+}
+
+// journalEvents appends evs to the journal, when one is attached, as
+// one batch: one write and at most one fsync, all or nothing. A batch
+// that fails its bounded retries has been rolled back — nothing of it
+// is readable — and quiesces the exchange, so no further state is
+// acknowledged until the disk heals.
+func (e *Exchange) journalEvents(evs ...*Event) error {
+	if e.journal == nil {
+		return nil
+	}
+	// One event, the submit path's case, encodes into a stack array.
+	var one [1][]byte
+	raws := one[:0]
+	for _, ev := range evs {
 		raw, err := json.Marshal(ev)
 		if err != nil {
 			return fmt.Errorf("market: encode %s event: %w", ev.Kind, err)
 		}
-		if err := e.appendWithRetry(raw); err != nil {
-			// The journal has rolled its WAL back to the pre-append
-			// length, so nothing of this event is readable; quiesce so
-			// no further state is acknowledged until the disk heals.
-			e.enterDegraded(err)
-			return fmt.Errorf("market: journal %s event: %w", ev.Kind, err)
-		}
+		raws = append(raws, raw)
 	}
-	e.fire.Publish(EventSource, ev.Kind, ev)
+	if err := e.appendWithRetry(raws); err != nil {
+		e.enterDegraded(err)
+		return fmt.Errorf("market: journal %s event: %w", evs[len(evs)-1].Kind, err)
+	}
 	return nil
 }
 

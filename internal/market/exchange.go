@@ -987,6 +987,12 @@ func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, 
 // non-clearing prices, so nothing settles: orders stay Open for the next
 // epoch, no money moves, and the appended record shows Converged=false
 // with zero settled orders.
+//
+// Settlement is journaled as one batch — every per-order event plus the
+// auction record, one write and one fsync — before any of it is
+// applied. A batch the journal cannot persist settles nothing: the
+// claimed orders return to Open, the error is returned, and the
+// exchange quiesces (see ErrDegraded).
 func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// A degraded exchange probes the journal on entry (rate-limited by
 	// the resume backoff schedule) and refuses to run the clock while the
@@ -1045,104 +1051,76 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		Submitted: len(open),
 	}
 	// From here on, every state change flows through the event stream:
-	// each decision is materialized as an Event, journaled (when a
-	// journal is attached), then applied by the same applyEvent layer
-	// recovery replays. The auction-cleared event is logged last, so a
-	// crash mid-settlement leaves a journal prefix whose replayed book
-	// simply shows a partially settled batch — per-order events are
-	// self-contained — and the next process's clock reuses the auction
-	// number the interrupted settlement never published.
+	// each decision is materialized as an Event, the per-order events
+	// and then the auction-cleared record are journaled as one batch,
+	// and each is published and applied by the same applyEvent layer
+	// recovery replays. A crash that tears the batch leaves a prefix of
+	// whole frames without the record: the replayed book shows a
+	// partially settled batch — per-order events are self-contained —
+	// and the next process's clock reuses the auction number.
+	evs := make([]*Event, 0, len(open)+1)
+	var unsettled uint64
 	if runErr != nil {
 		// Failed clock: the final prices are not clearing prices, so
 		// settling them would move money at arbitrary levels. Record the
 		// attempt and leave the batch open — but retire orders whose
 		// batch has now failed MaxAuctionAttempts times, so a cycling
 		// trader pair cannot livelock every future epoch.
-		for i, o := range open {
-			var ev *Event
+		for _, o := range open {
 			if o.Attempts+1 >= e.cfg.MaxAuctionAttempts {
-				ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
-					Status: Unsettled, Attempts: o.Attempts + 1}
-				e.metrics.unsettled.Add(1)
+				evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
+					Status: Unsettled, Attempts: o.Attempts + 1})
+				unsettled++
 			} else {
-				ev = &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
-					Attempts: o.Attempts + 1}
-			}
-			if err := e.emitEvent(ev); err != nil {
-				// Orders before i had their events journaled and applied (so
-				// their in-auction marks are already cleared); releasing the
-				// unprocessed tail leaves the books exactly as a replay of
-				// the durable prefix would — the crash-consistency contract,
-				// reached without crashing. The auction record is never
-				// appended, so the number is reused by the next clock.
-				e.releaseBatch(open[i:])
-				return nil, nil, err
-			}
-			if err := e.applyEvent(ev); err != nil {
-				return nil, nil, err
+				evs = append(evs, &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
+					Attempts: o.Attempts + 1})
 			}
 		}
-		recEv := &Event{Kind: EvAuctionCleared, Record: rec}
-		if err := e.emitEvent(recEv); err != nil {
-			return nil, nil, err
-		}
-		if err := e.applyEvent(recEv); err != nil {
-			return nil, nil, err
-		}
-		e.metrics.auctions.Add(1)
-		e.metrics.noConvergence.Add(1)
-		e.metrics.rounds.Add(uint64(res.Rounds))
-		if err := e.maybeSnapshotLocked(num); err != nil {
-			return rec, res, err
-		}
-		return rec, res, runErr
-	}
-	// Settle orders (indices in `bids` match `open` for i < len(open)).
-	// Every order in the batch is still Open: the in-auction mark blocks
-	// cancellation while the clock runs. Each winner's ledger pair is
-	// posted atomically by the applier, so LedgerBalanced holds at every
-	// observable instant.
-	for i, o := range open {
-		var ev *Event
-		if res.IsWinner(i) {
-			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
-				Allocation: res.Allocations[i], Payment: res.Payments[i]}
+	} else {
+		// Settle orders (indices in `bids` match `open` for i < len(open)).
+		// Every order in the batch is still Open: the in-auction mark
+		// blocks cancellation while the clock runs. Each winner's ledger
+		// pair is posted atomically by the applier, so LedgerBalanced
+		// holds at every observable instant.
+		for i, o := range open {
+			if !res.IsWinner(i) {
+				evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost})
+				continue
+			}
+			evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
+				Allocation: res.Allocations[i], Payment: res.Payments[i]})
 			rec.Settled++
-			e.metrics.won.Add(1)
 			// γ_u is measured against the limit that governed the *winning*
 			// bundle: for vector-limit bids the scalar Limit is ignored by the
 			// proxy, so using it here would corrupt the Table I statistics.
 			rec.Premiums = append(rec.Premiums, core.Premium(o.Bid.LimitFor(res.ChosenBundle[i]), res.Payments[i]))
-		} else {
-			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost}
-			e.metrics.lost.Add(1)
 		}
-		if err := e.emitEvent(ev); err != nil {
-			// Same contract as the non-convergent branch: the settled
-			// prefix open[:i] is durable and applied, the rest of the
-			// batch returns to Open, and the auction record is not
-			// written — replaying the journal reproduces this exact book.
-			e.releaseBatch(open[i:])
-			return nil, nil, err
-		}
+		// The operator's supply bid exists to inject capacity and anchor
+		// the clock at the reserve prices; its money flow is already
+		// captured by the counterparty credits the winners' settlement
+		// events post (the exchange clears every trade against the
+		// operator account), so no further entry is needed here.
+	}
+	evs = append(evs, &Event{Kind: EvAuctionCleared, Record: rec})
+	if err := e.journalEvents(evs...); err != nil {
+		e.releaseBatch(open)
+		return nil, nil, err
+	}
+	for _, ev := range evs {
+		e.fire.Publish(EventSource, ev.Kind, ev)
 		if err := e.applyEvent(ev); err != nil {
 			return nil, nil, err
 		}
 	}
-	// The operator's supply bid exists to inject capacity and anchor the
-	// clock at the reserve prices; its money flow is already captured by
-	// the counterparty credits the winners' settlement events post (the
-	// exchange clears every trade against the operator account), so no
-	// further entry is needed here.
-	recEv := &Event{Kind: EvAuctionCleared, Record: rec}
-	if err := e.emitEvent(recEv); err != nil {
-		return nil, nil, err
-	}
-	if err := e.applyEvent(recEv); err != nil {
-		return nil, nil, err
-	}
 	e.metrics.auctions.Add(1)
-	e.metrics.converged.Add(1)
+	if runErr != nil {
+		e.metrics.unsettled.Add(unsettled)
+		e.metrics.noConvergence.Add(1)
+	} else {
+		e.metrics.won.Add(uint64(rec.Settled))
+		e.metrics.lost.Add(uint64(len(open) - rec.Settled))
+		e.metrics.converged.Add(1)
+	}
 	e.metrics.rounds.Add(uint64(res.Rounds))
 	if err := e.maybeSnapshotLocked(num); err != nil {
 		return rec, res, err
