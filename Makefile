@@ -4,7 +4,7 @@
 # bench gate) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help perfbench-test \
+.PHONY: all build test race vet lint vulncheck help perfbench-test perfbench-smoke \
 	bench bench-baseline bench-compare \
 	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz bench-ci
 
@@ -45,6 +45,13 @@ lint: vet ## go vet + marketlint (+ staticcheck when installed)
 # the harness's declarations); this target runs them.
 perfbench-test: ## Vet and test the perfbench harness module
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# A short traced planet-clear run of the benchmark: it fails unless the
+# cleared outcomes equal the float-exact goldens in perfbench/pins.json
+# and every traced tick's prices are bit-equal to an outside rebuild of
+# its batch — the goldens of the production clearing path.
+perfbench-smoke: ## Short traced planet-clear run: pinned outcomes + bit-equal prices
+	bash perfbench/run.sh --workload planet-clear --seed 1 --seconds 5 --trace 1
 
 vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh

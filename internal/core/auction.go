@@ -99,7 +99,10 @@ type Result struct {
 	Rounds    int
 	// Prices is the final price vector p.
 	Prices resource.Vector
-	// Allocations[i] is x_u for bids[i]; nil when the bid lost.
+	// Allocations[i] is x_u for bids[i]; nil when the bid lost. A
+	// winner's entry is bids[i].Bundles[ChosenBundle[i]] itself, not a
+	// copy: it belongs to the bid, which is frozen from NewAuction on,
+	// and is read-only to every holder of the Result.
 	Allocations []resource.Vector
 	// Payments[i] is x_uᵀp; negative values are amounts received by
 	// sellers. Zero for losers.
@@ -234,12 +237,17 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if !cfg.Start.AllNonNegative(0) {
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
+	// One pass over each bid's dense bundles validates it, packs its
+	// sparse form and classifies it; every later stage reads the packed
+	// form only.
+	var pk packer
+	slab := make([]Proxy, len(bids))
 	proxies := make([]*Proxy, len(bids))
 	for i, b := range bids {
-		if err := b.Validate(reg.Len()); err != nil {
+		if err := slab[i].wrap(b, reg.Len(), &pk); err != nil {
 			return nil, err
 		}
-		proxies[i] = NewProxy(b)
+		proxies[i] = &slab[i]
 	}
 	return &Auction{reg: reg, bids: bids, proxies: proxies, cfg: cfg}, nil
 }
@@ -250,8 +258,8 @@ func (a *Auction) Bids() []*Bid { return a.bids }
 // Classes tallies the bidder classes, used to predict convergence per
 // Section III.C.3.
 func (a *Auction) Classes() (buyers, sellers, traders int) {
-	for _, b := range a.bids {
-		switch b.Class() {
+	for _, px := range a.proxies {
+		switch px.class {
 		case PureBuyer:
 			buyers++
 		case PureSeller:
@@ -279,11 +287,12 @@ func (a *Auction) ConvergenceGuaranteed() bool {
 func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
 
 // RunReusing is Run with Result recycling: when res is non-nil (typically
-// the outcome of an earlier run of this auction), its slices — including
-// per-winner allocation vectors and recorded history rounds — are
-// overwritten in place instead of reallocated, so a steady-state re-run
-// performs zero heap allocations. The returned Result is res itself; the
-// previous outcome it carried is destroyed. Pass nil for a fresh Result.
+// the outcome of an earlier run of this auction), its slices and
+// recorded history rounds are overwritten in place instead of
+// reallocated, so a steady-state re-run performs zero heap allocations.
+// The returned Result is res itself; the previous outcome it carried is
+// destroyed, but the bid bundles its allocations pointed at are never
+// written. Pass nil for a fresh Result.
 //
 //marketlint:allocfree
 func (a *Auction) RunReusing(res *Result) (*Result, error) {
@@ -472,10 +481,11 @@ func (a *Auction) collectParallel(p resource.Vector, choices []int) int {
 }
 
 // settle freezes the outcome at final prices: winners receive their
-// demanded bundle and pay its cost; everyone else loses. The Result's
-// slices (and per-winner allocation vectors) are reused in place when
-// RunReusing recycled them, so the settled outcome never aliases the
-// auction's scratch buffers.
+// demanded bundle and pay its cost; everyone else loses. A winner's
+// allocation is its frozen bid bundle itself, shared rather than copied,
+// so settle never writes a dense vector. The Result's slices are reused
+// in place when RunReusing recycled them, and nothing in the settled
+// outcome aliases the auction's scratch buffers.
 //
 //marketlint:allocfree
 func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
@@ -502,8 +512,7 @@ func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
 			res.Losers = append(res.Losers, i)
 			continue
 		}
-		q := a.bids[i].Bundles[c]
-		res.Allocations[i] = res.Allocations[i].CopyFrom(q)
+		res.Allocations[i] = a.bids[i].Bundles[c]
 		res.Payments[i] = a.proxies[i].sparse[c].dot(p)
 		res.Winners = append(res.Winners, i)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -430,5 +432,84 @@ func TestPriceCeiling(t *testing.T) {
 	// Buyer pays at most 100 for 10 units → 10/unit, plus start 1.
 	if got := PriceCeiling(bids, start); got != 11 {
 		t.Errorf("PriceCeiling = %v", got)
+	}
+}
+
+// TestAllocationsShareFrozenBundles: a winner's allocation is its chosen
+// bid bundle itself, not a copy, and recycling one Result through
+// RunReusing across two auctions never writes a bid bundle.
+func TestAllocationsShareFrozenBundles(t *testing.T) {
+	reg := resource.NewRegistry(
+		resource.Pool{Cluster: "c0", Dim: resource.CPU},
+		resource.Pool{Cluster: "c1", Dim: resource.CPU},
+		resource.Pool{Cluster: "c2", Dim: resource.CPU},
+	)
+	newAuction := func(seed int64) *Auction {
+		t.Helper()
+		a, err := NewAuction(reg, randomMixedMarket(rand.New(rand.NewSource(seed)), reg), Config{
+			Start:     resource.Vector{0.5, 0.5, 0.5},
+			Policy:    Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+			MaxRounds: 300,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	auctions := []*Auction{newAuction(77), newAuction(78)}
+	var frozen [][]uint64
+	for _, a := range auctions {
+		for _, b := range a.bids {
+			for _, q := range b.Bundles {
+				bits := make([]uint64, len(q))
+				for i, x := range q {
+					bits[i] = math.Float64bits(x)
+				}
+				frozen = append(frozen, bits)
+			}
+		}
+	}
+	unchanged := func(tag string) {
+		t.Helper()
+		k := 0
+		for _, a := range auctions {
+			for _, b := range a.bids {
+				for _, q := range b.Bundles {
+					for i, x := range q {
+						if math.Float64bits(x) != frozen[k][i] {
+							t.Fatalf("%s: bid %s bundle component %d changed", tag, b.User, i)
+						}
+					}
+					k++
+				}
+			}
+		}
+	}
+
+	var res *Result
+	winners := 0
+	for pass, a := range []*Auction{auctions[0], auctions[1], auctions[0]} {
+		res, _ = a.RunReusing(res)
+		if res == nil {
+			t.Fatalf("pass %d: nil result", pass)
+		}
+		unchanged(fmt.Sprintf("pass %d", pass))
+		for i, x := range res.Allocations {
+			c := res.ChosenBundle[i]
+			if c < 0 {
+				if x != nil {
+					t.Fatalf("pass %d bid %d: loser has allocation %v", pass, i, x)
+				}
+				continue
+			}
+			winners++
+			q := a.bids[i].Bundles[c]
+			if len(x) != len(q) || &x[0] != &q[0] {
+				t.Fatalf("pass %d bid %d: allocation does not share bundle %d's backing array", pass, i, c)
+			}
+		}
+	}
+	if winners == 0 {
+		t.Fatal("no winners: the sharing assertions ran vacuously")
 	}
 }

@@ -119,47 +119,111 @@ func (b *Bid) Class() Class {
 
 // Validate checks the bid against registry size r.
 func (b *Bid) Validate(r int) error {
+	_, _, err := b.check(r, nil)
+	return err
+}
+
+// check is the bid's one validation pass, shared by Validate, NewProxy
+// and NewAuction: after the header checks, a single loop per bundle
+// tests every component for finiteness and notes the signs of the
+// non-zeros, from which the bid's Class follows. Errors come in a fixed
+// order: header, then per bundle its length, its first non-finite
+// component and its emptiness, then a pure seller's positive limit.
+// When pk is non-nil the non-zeros are packed as they are read, and the
+// returned sparse bundles are exact-size slices of pk's slabs; Validate
+// passes nil and packs nothing.
+func (b *Bid) check(r int, pk *packer) ([]sparseBundle, Class, error) {
 	if b.User == "" {
-		return errors.New("core: bid has empty user")
+		return nil, 0, errors.New("core: bid has empty user")
 	}
 	if len(b.Bundles) == 0 {
-		return fmt.Errorf("core: bid %q has no bundles", b.User)
+		return nil, 0, fmt.Errorf("core: bid %q has no bundles", b.User)
 	}
 	if math.IsNaN(b.Limit) || math.IsInf(b.Limit, 0) {
-		return fmt.Errorf("core: bid %q has non-finite limit", b.User)
+		return nil, 0, fmt.Errorf("core: bid %q has non-finite limit", b.User)
 	}
 	if len(b.BundleLimits) > 0 {
 		if len(b.BundleLimits) != len(b.Bundles) {
-			return fmt.Errorf("core: bid %q has %d bundle limits for %d bundles",
+			return nil, 0, fmt.Errorf("core: bid %q has %d bundle limits for %d bundles",
 				b.User, len(b.BundleLimits), len(b.Bundles))
 		}
 		for i, l := range b.BundleLimits {
 			if math.IsNaN(l) || math.IsInf(l, 0) {
-				return fmt.Errorf("core: bid %q bundle limit %d is non-finite", b.User, i)
+				return nil, 0, fmt.Errorf("core: bid %q bundle limit %d is non-finite", b.User, i)
 			}
 		}
 	}
+	var sparse []sparseBundle
+	if pk != nil {
+		sparse = pk.bundles(len(b.Bundles))
+	}
+	// dir is the direction every bundle so far agrees on (+1 demand, −1
+	// offer), 0 once two disagree or one bundle mixes both: a Trader.
+	dir := 0
 	for i, q := range b.Bundles {
 		if len(q) != r {
-			return fmt.Errorf("core: bid %q bundle %d has %d components, want %d", b.User, i, len(q), r)
+			return nil, 0, fmt.Errorf("core: bid %q bundle %d has %d components, want %d", b.User, i, len(q), r)
 		}
-		if err := q.Validate(); err != nil {
-			return fmt.Errorf("core: bid %q bundle %d: %v", b.User, i, err)
+		start := 0
+		if pk != nil {
+			start = pk.reserve(r)
 		}
-		if q.IsZero() {
-			return fmt.Errorf("core: bid %q bundle %d is empty", b.User, i)
+		pos, neg := false, false
+		for j, x := range q {
+			if x == 0 { // +0 and −0 alike
+				continue
+			}
+			if x-x != 0 { // NaN or ±Inf
+				what := "infinite"
+				if math.IsNaN(x) {
+					what = "NaN"
+				}
+				return nil, 0, fmt.Errorf("core: bid %q bundle %d: resource: component %d is %s", b.User, i, j, what)
+			}
+			if x > 0 {
+				pos = true
+			} else {
+				neg = true
+			}
+			if pk != nil {
+				pk.idx = append(pk.idx, int32(j))
+				pk.val = append(pk.val, x)
+			}
+		}
+		d := 1
+		switch {
+		case !pos && !neg:
+			return nil, 0, fmt.Errorf("core: bid %q bundle %d is empty", b.User, i)
+		case pos && neg:
+			d = 0
+		case neg:
+			d = -1
+		}
+		switch {
+		case i == 0:
+			dir = d
+		case d != dir:
+			dir = 0
+		}
+		if pk != nil {
+			sparse[i] = pk.take(start)
 		}
 	}
-	// Sanity-check limit direction: a pure seller asking to be *paid* a
-	// positive amount must use a negative limit.
-	if b.Class() == PureSeller {
+	class := PureBuyer
+	switch dir {
+	case 0:
+		class = Trader
+	case -1:
+		class = PureSeller
+		// A pure seller asking to be *paid* a positive amount must use
+		// a negative limit.
 		for i := range b.Bundles {
 			if b.LimitFor(i) > 0 {
-				return fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
+				return nil, 0, fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
 			}
 		}
 	}
-	return nil
+	return sparse, class, nil
 }
 
 // BestAffordable returns the bundle the proxy demands at prices p: the
@@ -190,18 +254,37 @@ func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 type Proxy struct {
 	bid    *Bid
 	sparse []sparseBundle
+	// class is the bid's Class, found by the same pass that packed
+	// sparse, so the engines never rescan the dense bundles for it.
+	class Class
 	// lastChoice caches the chosen bundle index for diagnostics; −1 when
 	// the proxy has dropped out.
 	lastChoice int
 }
 
-// NewProxy wraps a bid.
-func NewProxy(b *Bid) *Proxy {
-	px := &Proxy{bid: b, lastChoice: -1, sparse: make([]sparseBundle, len(b.Bundles))}
-	for i, q := range b.Bundles {
-		px.sparse[i] = newSparseBundle(q)
+// NewProxy validates a bid against its own bundle length and wraps it.
+// The bid is held by reference and must not be mutated afterwards.
+func NewProxy(b *Bid) (*Proxy, error) {
+	r := 0
+	if len(b.Bundles) > 0 {
+		r = len(b.Bundles[0])
 	}
-	return px
+	px := &Proxy{}
+	if err := px.wrap(b, r, &packer{}); err != nil {
+		return nil, err
+	}
+	return px, nil
+}
+
+// wrap validates b against registry size r and makes px its proxy, with
+// the bundles packed by pk.
+func (px *Proxy) wrap(b *Bid, r int, pk *packer) error {
+	sparse, class, err := b.check(r, pk)
+	if err != nil {
+		return err
+	}
+	*px = Proxy{bid: b, sparse: sparse, class: class, lastChoice: -1}
+	return nil
 }
 
 // choose returns the index of the bundle the proxy demands at prices p,

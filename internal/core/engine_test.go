@@ -347,3 +347,44 @@ func TestSteadyStateRoundsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyClassMatchesBidClass: the class the validation pass caches on
+// each proxy — which the incremental index and the partition sub-proxies
+// read instead of rescanning dense bundles — equals Bid.Class() for
+// every bid both 120-seed differential generators produce.
+func TestProxyClassMatchesBidClass(t *testing.T) {
+	check := func(tag string, a *Auction) {
+		t.Helper()
+		for i, px := range a.proxies {
+			if want := a.bids[i].Class(); px.class != want {
+				t.Fatalf("%s bid %d: cached class %v, Bid.Class() %v", tag, i, px.class, want)
+			}
+		}
+	}
+	for seed := int64(0); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pools := make([]resource.Pool, rng.Intn(7)+2)
+		for i := range pools {
+			pools[i] = resource.Pool{Cluster: fmt.Sprintf("c%d", i), Dim: resource.CPU}
+		}
+		reg := resource.NewRegistry(pools...)
+		a, err := NewAuction(reg, randomMixedMarket(rng, reg), Config{Start: make(resource.Vector, reg.Len())})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("mixed seed %d", seed), a)
+
+		rng = rand.New(rand.NewSource(9000 + seed))
+		reg, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
+		a, err = NewAuction(reg, bids, Config{Start: make(resource.Vector, reg.Len())})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("regional seed %d", seed), a)
+		if ps := a.partition(); ps != nil {
+			for k, c := range ps.comps {
+				check(fmt.Sprintf("regional seed %d component %d", seed, k), c.auc)
+			}
+		}
+	}
+}

@@ -60,7 +60,7 @@ func (a *Auction) buildIncrementalIndex() *incrementalIndex {
 				}
 			}
 		}
-		ix.pureBuyer[i] = a.bids[i].Class() == PureBuyer
+		ix.pureBuyer[i] = px.class == PureBuyer
 	}
 	return ix
 }

@@ -282,6 +282,7 @@ func (a *Auction) buildPartition() *partitionState {
 		c.bids = append(c.bids, int32(i))
 	}
 
+	var pk packer
 	for _, c := range comps {
 		subReg := resource.NewRegistry()
 		subStart := make(resource.Vector, len(c.pools))
@@ -291,23 +292,27 @@ func (a *Auction) buildPartition() *partitionState {
 		}
 		pol, _ := remapPolicy(a.cfg.Policy, c.pools)
 		bids := make([]*Bid, len(c.bids))
+		slab := make([]Proxy, len(c.bids))
 		proxies := make([]*Proxy, len(c.bids))
 		for k, bi := range c.bids {
 			b := a.bids[bi]
 			bids[k] = b
 			src := a.proxies[bi]
-			px := &Proxy{bid: b, lastChoice: -1, sparse: make([]sparseBundle, len(src.sparse))}
+			sparse := pk.bundles(len(src.sparse))
 			for si, sb := range src.sparse {
-				idx := make([]int32, len(sb.idx))
-				for n, g := range sb.idx {
-					idx[n] = localPool[g]
+				pk.idx = grow(pk.idx, len(sb.idx))
+				start := len(pk.idx)
+				for _, g := range sb.idx {
+					pk.idx = append(pk.idx, localPool[g])
 				}
+				end := len(pk.idx)
 				// The value slice is shared: bundle values are frozen
 				// after NewAuction, and sharing keeps the remap O(nnz)
 				// in fresh memory.
-				px.sparse[si] = sparseBundle{idx: idx, val: sb.val}
+				sparse[si] = sparseBundle{idx: pk.idx[start:end:end], val: sb.val}
 			}
-			proxies[k] = px
+			slab[k] = Proxy{bid: b, sparse: sparse, class: src.class, lastChoice: -1}
+			proxies[k] = &slab[k]
 		}
 		c.auc = &Auction{
 			reg:     subReg,

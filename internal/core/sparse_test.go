@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,14 +9,30 @@ import (
 	"clustermarket/internal/resource"
 )
 
+// packOne packs q through the bid validation pass, as NewAuction does.
+func packOne(q resource.Vector) (sparseBundle, error) {
+	b := &Bid{User: "u", Bundles: []resource.Vector{q}}
+	sparse, _, err := b.check(len(q), &packer{})
+	if err != nil {
+		return sparseBundle{}, err
+	}
+	return sparse[0], nil
+}
+
 func TestSparseBundlePacking(t *testing.T) {
 	q := resource.Vector{0, 3, 0, -2, 0}
-	s := newSparseBundle(q)
+	s, err := packOne(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.idx) != 2 || s.idx[0] != 1 || s.idx[1] != 3 {
 		t.Fatalf("idx = %v", s.idx)
 	}
 	if s.val[0] != 3 || s.val[1] != -2 {
 		t.Fatalf("val = %v", s.val)
+	}
+	if cap(s.idx) != len(s.idx) || cap(s.val) != len(s.val) {
+		t.Errorf("packed slices are not exact-size: cap %d/%d for %d non-zeros", cap(s.idx), cap(s.val), len(s.idx))
 	}
 	p := resource.Vector{10, 20, 30, 40, 50}
 	if got, want := s.dot(p), q.Dot(p); got != want {
@@ -28,11 +45,16 @@ func TestSparseBundlePacking(t *testing.T) {
 	}
 }
 
+// TestSparseEmptyBundle: the packing pass refuses a bundle with no
+// non-zero component (−0.0 included) instead of packing a vacuous one,
+// and the zero sparse bundle prices at 0.
 func TestSparseEmptyBundle(t *testing.T) {
-	s := newSparseBundle(resource.Vector{0, 0})
-	if len(s.idx) != 0 {
-		t.Fatalf("idx = %v", s.idx)
+	for _, q := range []resource.Vector{{0, 0}, {math.Copysign(0, -1), 0}} {
+		if _, err := packOne(q); err == nil {
+			t.Errorf("packed empty bundle %v", q)
+		}
 	}
+	var s sparseBundle
 	if got := s.dot(resource.Vector{5, 5}); got != 0 {
 		t.Errorf("dot = %v", got)
 	}
@@ -53,7 +75,11 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 			}
 			p[i] = rng.Float64() * 5
 		}
-		s := newSparseBundle(q)
+		s, err := packOne(q)
+		if err != nil {
+			// Only an all-zero draw is refused, and it packs nothing.
+			return q.IsZero()
+		}
 		if d1, d2 := s.dot(p), q.Dot(p); d1 != d2 {
 			return false
 		}
@@ -91,7 +117,10 @@ func TestQuickProxyChooseMatchesBestAffordable(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Float64() * 20
 		}
-		px := NewProxy(b)
+		px, err := NewProxy(b)
+		if err != nil {
+			return false
+		}
 		got := px.choose(p)
 		want, ok := b.BestAffordable(p)
 		if !ok {

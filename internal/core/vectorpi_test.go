@@ -57,7 +57,7 @@ func TestVectorPiProxyPicksMaxSurplus(t *testing.T) {
 		Bundles:      []resource.Vector{{5, 0}, {0, 5}},
 		BundleLimits: []float64{6, 20},
 	}
-	px := NewProxy(b)
+	px := mustProxy(t, b)
 	d := px.Demand(resource.Vector{1, 2}) // costs: 5 and 10; surpluses: 1 and 10
 	if d == nil || d[1] != 5 {
 		t.Fatalf("demand = %v, want bundle 1", d)

@@ -101,16 +101,20 @@ func (o *Order) Side() int {
 
 // snapshot copies the order, including a copy of the Bid struct so a
 // caller scribbling on snapshot.Bid fields cannot reach the booked bid.
-// The bundle vectors and Allocation remain shared: both are frozen —
-// bundles at submit time, the allocation at settlement — and must be
+// The Order and Bid copies share one allocation. The bundle vectors and
+// Allocation remain shared: both are frozen — bundles at submit time,
+// and a won order's Allocation is one of those bundles — and must be
 // treated as read-only by callers.
 func (o *Order) snapshot() *Order {
-	c := *o
+	c := &struct {
+		order Order
+		bid   core.Bid
+	}{order: *o}
 	if o.Bid != nil {
-		b := *o.Bid
-		c.Bid = &b
+		c.bid = *o.Bid
+		c.order.Bid = &c.bid
 	}
-	return &c
+	return &c.order
 }
 
 // LedgerEntry is one double-entry billing record.
@@ -382,9 +386,12 @@ func (e *Exchange) Balance(team string) (float64, error) {
 }
 
 // Submit places an order for team with the given bid. Buy-side limits
-// must be covered by the team's balance. The bid is cloned before entry
-// — core.NewAuction holds bids by reference, so the caller's value must
-// stay untouched by the exchange — and the returned Order is a snapshot;
+// must be covered by the team's balance. The caller keeps ownership of
+// bid: it is cloned before entry — core.NewAuction holds bids by
+// reference and the clock reads booked bids lock-free — so the caller is
+// free to reuse its vectors after Submit returns. From then on the
+// exchange owns the clone and never writes it again; a won order's
+// Allocation is one of its bundles. The returned Order is a snapshot;
 // poll Order/Orders for settlement status.
 func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 	if err := e.rejectIfDegraded(); err != nil {
@@ -394,13 +401,18 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 		return nil, e.rejected(errors.New("market: nil bid"))
 	}
 	b := *bid
-	// Deep-copy the bundles: the clock reads booked bids lock-free, so
-	// the caller must be free to reuse its vectors after Submit returns.
 	b.Bundles = make([]resource.Vector, len(bid.Bundles))
 	for i, v := range bid.Bundles {
 		b.Bundles[i] = v.Clone()
 	}
 	b.BundleLimits = append([]float64(nil), bid.BundleLimits...)
+	return e.book(team, &b)
+}
+
+// book validates and books a bid the exchange already owns: Submit's
+// clone, or the bundles SubmitProduct built itself. b is frozen from
+// here on.
+func (e *Exchange) book(team string, b *core.Bid) (*Order, error) {
 	if b.User == "" {
 		b.User = team
 	}
@@ -457,9 +469,9 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 		os.mu.Unlock()
 		return nil, e.rejected(err)
 	}
-	o := &Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: &b, Status: Open, Auction: -1}
+	o := &Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1}
 	if e.materializing() {
-		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: &b}); err != nil {
+		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: b}); err != nil {
 			// Un-consume the round-robin slot so a post-heal resubmit
 			// lands on the same stripe with the same ID (replay's
 			// applyOrderSubmitted advances the counter once per *logged*
@@ -531,7 +543,8 @@ func (e *Exchange) appendLedger(entries []LedgerEntry) {
 
 // SubmitProduct is the two-step bid entry path of Figure 4: the team
 // requests qty units of a catalog product, deployable in any of the named
-// clusters (XOR), with a limit price.
+// clusters (XOR), with a limit price. The bundles it builds are fresh and
+// owned by the exchange, so they are booked without Submit's clone.
 func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (*Order, error) {
 	p, err := e.catalog.Lookup(product)
 	if err != nil {
@@ -551,7 +564,7 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 		return nil, e.rejected(errors.New("market: no clusters named"))
 	}
 	cover := p.Cover(qty)
-	var bundles []resource.Vector
+	bundles := make([]resource.Vector, 0, len(clusters))
 	for _, cl := range clusters {
 		v := e.reg.Zero()
 		found := false
@@ -566,8 +579,10 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 		}
 		bundles = append(bundles, v)
 	}
-	bid := &core.Bid{User: team + "/" + product, Bundles: bundles, Limit: limit}
-	return e.Submit(team, bid)
+	if err := e.rejectIfDegraded(); err != nil {
+		return nil, e.rejected(err)
+	}
+	return e.book(team, &core.Bid{User: team + "/" + product, Bundles: bundles, Limit: limit})
 }
 
 // Cancel withdraws an open order. An order whose batch is currently

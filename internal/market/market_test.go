@@ -1059,3 +1059,76 @@ func TestPreliminaryPricesNonConvergent(t *testing.T) {
 		t.Error("preliminary run had side effects")
 	}
 }
+
+// TestWonAllocationIsChosenBundle: settlement hands a winner the bundle
+// its bid chose, shared rather than copied, so a won order's Allocation
+// is one of its own frozen bundles.
+func TestWonAllocationIsChosenBundle(t *testing.T) {
+	e := newTestExchange(t)
+	if err := e.OpenAccount("a"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r1", "r2"}, float64(50+10*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, res, err := e.RunAuction()
+	if err != nil {
+		t.Fatal(err)
+	}
+	won := 0
+	for i, o := range e.Orders() {
+		if o.Status != Won {
+			continue
+		}
+		won++
+		q := o.Bid.Bundles[res.ChosenBundle[i]]
+		if !o.Allocation.Equal(q, 0) || &o.Allocation[0] != &q[0] {
+			t.Errorf("order %d: allocation %v is not its chosen bundle %v", o.ID, o.Allocation, q)
+		}
+	}
+	if won == 0 {
+		t.Fatal("no order won: the sharing assertion ran vacuously")
+	}
+}
+
+// TestSubmitProductAllocs pins the allocation count of a one-cluster
+// SubmitProduct on an exchange without journal or firehose: the bundle
+// and its slice, the bid's user string, the bid, the order, and the
+// one-allocation snapshot. SubmitProduct's bundles are fresh and booked
+// as they are; cloning them would add two, and a two-allocation
+// snapshot one more.
+func TestSubmitProductAllocs(t *testing.T) {
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.OpenAccount("a"); err != nil {
+		t.Fatal(err)
+	}
+	clusters := []string{"r2"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := e.SubmitProduct("a", "batch-compute", 1, clusters, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 6 {
+		t.Errorf("SubmitProduct made %v allocations per call, want 6", allocs)
+	}
+}
+
+// TestOrderSnapshotOneAllocation: a snapshot copies the Order and its
+// Bid struct in a single allocation, and the copies are detached.
+func TestOrderSnapshotOneAllocation(t *testing.T) {
+	o := &Order{ID: 3, Team: "a", Bid: &core.Bid{User: "a", Limit: 5}}
+	var snap *Order
+	if allocs := testing.AllocsPerRun(100, func() { snap = o.snapshot() }); allocs != 1 {
+		t.Errorf("snapshot made %v allocations, want 1", allocs)
+	}
+	snap.Bid.Limit = 9
+	snap.ID = 4
+	if o.Bid.Limit != 5 || o.ID != 3 {
+		t.Errorf("snapshot writes reached the order: %+v %+v", o, o.Bid)
+	}
+}

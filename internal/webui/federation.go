@@ -154,6 +154,9 @@ func (s *FedServer) handleGlobalBid(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
+	if !parseForm(w, r) {
+		return
+	}
 	fail := func(msg string) { errRedirect(w, r, "/", msg) }
 	team := strings.TrimSpace(r.FormValue("team"))
 	qty, err := strconv.ParseFloat(r.FormValue("qty"), 64)

@@ -179,3 +179,65 @@ func FuzzBidSubmit(f *testing.F) {
 		}
 	})
 }
+
+// paddedForm encodes form followed by a padding field that brings the
+// body to exactly size bytes. The bid fields come first, so a handler
+// that read past the cap would book a valid order.
+func paddedForm(t *testing.T, form url.Values, size int) string {
+	t.Helper()
+	body := form.Encode() + "&pad="
+	if len(body) > size {
+		t.Fatalf("form alone is %d bytes, want at most %d", len(body), size)
+	}
+	return body + strings.Repeat("x", size-len(body))
+}
+
+// postRaw serves one POST of an already-encoded form body.
+func postRaw(h http.Handler, path, body string) int {
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code
+}
+
+// TestBidFormBodyIsBounded: a bid form post one byte over maxFormBytes
+// is refused with 413 before any field is read, and the book stays
+// empty; a body exactly at the cap is still served.
+func TestBidFormBodyIsBounded(t *testing.T) {
+	s, ex := newTestServer(t)
+	form := url.Values{
+		"team": {"web-team"}, "product": {"batch-compute"},
+		"qty": {"1"}, "clusters": {"r2"}, "limit": {"50"},
+	}
+	for _, path := range []string{"/bid/submit", "/bid/preview"} {
+		if code := postRaw(s, path, paddedForm(t, form, maxFormBytes+1)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s over the cap: got %d, want 413", path, code)
+		}
+	}
+	if n := len(ex.OpenOrders()); n != 0 {
+		t.Fatalf("oversized submissions booked %d orders", n)
+	}
+	if code := postRaw(s, "/bid/submit", paddedForm(t, form, maxFormBytes)); code != http.StatusOK {
+		t.Fatalf("POST /bid/submit at the cap: got %d, want 200", code)
+	}
+	if n := len(ex.OpenOrders()); n != 1 {
+		t.Fatalf("at-cap submission booked %d orders, want 1", n)
+	}
+}
+
+// TestFedGlobalBidFormBodyIsBounded is the same bound on the federated
+// global bid form.
+func TestFedGlobalBidFormBodyIsBounded(t *testing.T) {
+	fed, ts := fedFixture(t)
+	form := url.Values{
+		"team": {"search"}, "product": {"batch-compute"},
+		"qty": {"1"}, "clusters": {"hot-r1,cold-r1"}, "limit": {"500"},
+	}
+	if code := postRaw(ts.Config.Handler, "/bid/submit", paddedForm(t, form, maxFormBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /bid/submit over the cap: got %d, want 413", code)
+	}
+	if n := len(fed.OrdersTail(10)); n != 0 {
+		t.Fatalf("oversized submission booked %d federated orders", n)
+	}
+}

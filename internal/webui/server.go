@@ -250,6 +250,9 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
+	if !parseForm(w, r) {
+		return
+	}
 
 	team := strings.TrimSpace(r.FormValue("team"))
 	productName := r.FormValue("product")
@@ -315,6 +318,9 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	if !parseForm(w, r) {
 		return
 	}
 
@@ -586,6 +592,29 @@ func errRedirect(w http.ResponseWriter, r *http.Request, path, msg string) {
 // reach budget reservation or auction arithmetic.
 func finitePositive(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
+}
+
+// maxFormBytes bounds a bid form post. A real form is a few hundred
+// bytes; the cap keeps an oversized or hostile body from being read
+// whole into memory.
+const maxFormBytes = 64 << 10
+
+// parseForm reads a POST form body of at most maxFormBytes. It answers
+// 413 for a larger body and 400 for a malformed one, and reports
+// whether the handler may go on.
+func parseForm(w http.ResponseWriter, r *http.Request) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxFormBytes)
+	err := r.ParseForm()
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("form body exceeds %d bytes", maxFormBytes), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "malformed form: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
 }
 
 func splitCSV(s string) []string {
