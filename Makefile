@@ -4,7 +4,7 @@
 # bench gate) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help perfbench-test perfbench-smoke \
+.PHONY: all build test race vet lint vulncheck help perfbench-test perfbench-smoke goldens \
 	bench bench-baseline bench-compare \
 	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz bench-ci
 
@@ -52,6 +52,13 @@ perfbench-test: ## Vet and test the perfbench harness module
 # its batch — the goldens of the production clearing path.
 perfbench-smoke: ## Short traced planet-clear run: pinned outcomes + bit-equal prices
 	bash perfbench/run.sh --workload planet-clear --seed 1 --seconds 5 --trace 1
+
+# The behaviour lock: internal/scenario/testdata/fingerprints.golden
+# holds every catalog scenario × backend fingerprint at seed 42, checked
+# by TestCatalogFingerprintsGolden in `make test`. Rewrite it only in a
+# change that means to alter behaviour, and say why in CHANGES.md.
+goldens: ## Rewrite the golden scenario fingerprints from this build
+	$(GO) test ./internal/scenario -run TestCatalogFingerprintsGolden -count=1 -update
 
 vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh
