@@ -65,15 +65,34 @@ import (
 const shutdownTimeout = 5 * time.Second
 
 // The front door's connection timeouts: a client that has not finished
-// sending its request header within readHeaderTimeout, or leaves a
-// keep-alive connection idle for idleTimeout, is disconnected, so slow
-// or stalled clients cannot pin connections. There is deliberately no
-// write timeout: the /api/events SSE stream is long-lived. Variables
-// only so tests can shorten them.
+// sending its request header within readHeaderTimeout, its body within
+// bodyReadTimeout of the handler starting, or leaves a keep-alive
+// connection idle for idleTimeout, is disconnected, so slow or stalled
+// clients cannot pin connections. There is deliberately no server-wide
+// read or write timeout: the /api/events SSE stream is long-lived, and
+// sets a deadline per event instead. Variables only so tests can
+// shorten them.
 var (
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
+
+// withBodyDeadline gives every request bodyReadTimeout to deliver its
+// body: a client trickling one is cut off when the deadline passes, and
+// the handler's read fails. The deadline is set per request rather than
+// as the server's ReadTimeout because net/http keeps reading in the
+// background once a body is done, and a deadline firing there cancels
+// the request's context: the /api/events stream, which reads no body,
+// clears it. A writer that takes no deadlines (http.ErrNotSupported)
+// serves on without one; any other error means the connection is
+// already gone, and the handler's own reads and writes report it.
+func withBodyDeadline(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
+		h.ServeHTTP(w, r)
+	})
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -208,7 +227,7 @@ func serve(ctx context.Context, addr string, handler http.Handler) error {
 // (SIGINT/SIGTERM), then drains in-flight requests for up to
 // shutdownTimeout. A nil return means a clean shutdown.
 func serveListener(ctx context.Context, ln net.Listener, handler http.Handler) error {
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := &http.Server{Handler: withBodyDeadline(handler), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 
 	"clustermarket/internal/core"
 	"clustermarket/internal/journal"
+	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 	"clustermarket/internal/webui"
 )
@@ -228,6 +231,106 @@ func TestServeDropsSlowHeader(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatalf("server answered a half-sent header with %d bytes", n)
+	}
+}
+
+// serveDemo serves a demo exchange through serveListener, marketd's
+// own server, with bodyReadTimeout shortened to d, and returns its
+// address and the exchange.
+func serveDemo(t *testing.T, d time.Duration, fire *telemetry.Firehose) (string, *market.Exchange) {
+	t.Helper()
+	saved := bodyReadTimeout
+	bodyReadTimeout = d
+	ex, _, err := buildDemo(2, 4, 7, 5000, core.EngineIncremental, core.PartitionAuto, 0, "", 1, 0, fire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveListener(ctx, ln, webui.New(ex)) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+		bodyReadTimeout = saved
+	})
+	return ln.Addr().String(), ex
+}
+
+// TestServeCutsTrickledBody: a client that sends its header promptly but
+// trickles the body is cut off once bodyReadTimeout passes, instead of
+// holding the handler for as long as it keeps trickling.
+func TestServeCutsTrickledBody(t *testing.T) {
+	addr, ex := serveDemo(t, 200*time.Millisecond, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := "team=search&product=batch-compute&qty=1&clusters=r1&limit=100"
+	if _, err := fmt.Fprintf(conn, "POST /bid/submit HTTP/1.1\r\nHost: marketd\r\n"+
+		"Content-Type: application/x-www-form-urlencoded\r\nContent-Length: %d\r\n\r\n", len(body)); err != nil {
+		t.Fatal(err)
+	}
+	// One byte every 50 ms would take three seconds to finish the body.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for i := 0; i < len(body); i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Millisecond):
+			}
+			if _, err := conn.Write([]byte{body[i]}); err != nil {
+				return
+			}
+		}
+	}()
+	start := time.Now()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, _ := io.ReadAll(conn)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("trickled body held the connection for %s", took)
+	}
+	if strings.HasPrefix(string(reply), "HTTP/1.1 200") || strings.HasPrefix(string(reply), "HTTP/1.1 303") {
+		t.Fatalf("trickled body was served: %q", reply)
+	}
+	if n := ex.OpenOrderCount(); n != 0 {
+		t.Fatalf("trickled body booked %d orders", n)
+	}
+}
+
+// TestServeSSEOutlivesBodyDeadline: the body deadline must not reach the
+// long-lived /api/events stream. It reads no body and clears the
+// deadline, so an event published well after the deadline would have
+// fired still arrives.
+func TestServeSSEOutlivesBodyDeadline(t *testing.T) {
+	fire := telemetry.NewFirehose()
+	addr, ex := serveDemo(t, 100*time.Millisecond, fire)
+	resp, err := http.Get("http://" + addr + "/api/events?max=1&kinds=" + market.EvOrderSubmitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	time.Sleep(400 * time.Millisecond)
+	if _, err := ex.SubmitProduct("search", "batch-compute", 1, []string{"r1"}, 100); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("stream broke: %v", err)
+	}
+	if !strings.Contains(string(got), "event: "+market.EvOrderSubmitted) {
+		t.Fatalf("stream ended without the event: %q", got)
 	}
 }
 

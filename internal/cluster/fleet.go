@@ -257,6 +257,11 @@ func NewQuotaLedger() *QuotaLedger {
 func (l *QuotaLedger) Grant(team, cluster string, delta Usage) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.grantLocked(team, cluster, delta)
+}
+
+// grantLocked is Grant with l.mu held.
+func (l *QuotaLedger) grantLocked(team, cluster string, delta Usage) {
 	byCluster, ok := l.grants[team]
 	if !ok {
 		byCluster = make(map[string]Usage)
@@ -334,15 +339,31 @@ func (l *QuotaLedger) TotalGranted(cluster string) Usage {
 
 // ApplyAllocation translates a settled auction allocation vector into
 // quota adjustments: positive components grant quota, negative components
-// (sold resources) remove it.
+// (sold resources) remove it. It takes the lock once and makes one grant
+// per run of same-cluster pools. That is bit-identical to one grant per
+// non-zero pool: each dimension is added and clamped on its own, and
+// adding +0 to the dimensions a pool does not touch changes nothing (a
+// grant is never −0: it starts at +0, and a round-to-nearest sum is −0
+// only when both terms are).
 func (l *QuotaLedger) ApplyAllocation(reg *resource.Registry, team string, alloc resource.Vector) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var cluster string
+	var delta Usage
+	pending := false
 	for i, q := range alloc {
 		if q == 0 {
 			continue
 		}
 		p := reg.Pool(i)
-		var delta Usage
+		if pending && p.Cluster != cluster {
+			l.grantLocked(team, cluster, delta)
+			delta = Usage{}
+		}
+		cluster, pending = p.Cluster, true
 		delta = delta.Set(p.Dim, q)
-		l.Grant(team, p.Cluster, delta)
+	}
+	if pending {
+		l.grantLocked(team, cluster, delta)
 	}
 }

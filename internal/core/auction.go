@@ -237,10 +237,11 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if !cfg.Start.AllNonNegative(0) {
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
-	// One pass over each bid's dense bundles validates it, packs its
-	// sparse form and classifies it; every later stage reads the packed
-	// form only.
-	var pk packer
+	// Each bid's one validation pass packs its sparse form and
+	// classifies it; for a bid already packed against this registry
+	// (Bid.Pack, at admission) the pass reuses that memo and reads no
+	// dense bundle. Every later stage reads the packed form only.
+	var pk Packer
 	slab := make([]Proxy, len(bids))
 	proxies := make([]*Proxy, len(bids))
 	for i, b := range bids {

@@ -19,6 +19,13 @@ import (
 )
 
 // Bid is one user's sealed bid B_u = {Q_u, π_u} (Section II).
+//
+// The bid's owner may Pack it once its bundles are final, which
+// memoizes the dense half of the validation pass so that an auction
+// built over the bid reads no dense bundle. Pack and Unpack write the
+// bid, so only the owner calls them, serialized with its other readers.
+// The market exchange packs every bid it books, at admission, and
+// unpacks it when the order leaves Open.
 type Bid struct {
 	// User identifies the bidding user (an engineering team in the
 	// paper's experiments).
@@ -39,6 +46,22 @@ type Bid struct {
 	// largest surplus π_i − q_iᵀp instead of the globally cheapest one.
 	// Limit is ignored in that case.
 	BundleLimits []float64
+
+	// pack memoizes the dense pass of the bid's check (see Pack), so
+	// that an auction built over a packed bid reads no dense bundle.
+	// A copy of the Bid shares the memo, which is immutable; it is
+	// reused only while Bundles is still the slice that was packed.
+	pack *bidPack
+}
+
+// bidPack is what Bid.Pack remembers of the bid's dense pass: the
+// sparse bundles and the class, for registry size r, of the Bundles
+// slice whose first element is at bundles.
+type bidPack struct {
+	sparse  []sparseBundle
+	class   Class
+	r       int
+	bundles *resource.Vector
 }
 
 // LimitFor returns the limit governing bundle i: BundleLimits[i] when
@@ -123,16 +146,47 @@ func (b *Bid) Validate(r int) error {
 	return err
 }
 
-// check is the bid's one validation pass, shared by Validate, NewProxy
-// and NewAuction: after the header checks, a single loop per bundle
-// tests every component for finiteness and notes the signs of the
-// non-zeros, from which the bid's Class follows. Errors come in a fixed
-// order: header, then per bundle its length, its first non-finite
-// component and its emptiness, then a pure seller's positive limit.
-// When pk is non-nil the non-zeros are packed as they are read, and the
-// returned sparse bundles are exact-size slices of pk's slabs; Validate
-// passes nil and packs nothing.
-func (b *Bid) check(r int, pk *packer) ([]sparseBundle, Class, error) {
+// Pack validates the bid against registry size r, exactly as Validate
+// does and with the same errors, and memoizes the dense half of that
+// pass: the sparse bundles, carved from pk's slabs, and the class. An
+// auction built over the bid later reuses the memo instead of scanning
+// its dense bundles again, while still re-checking the header and the
+// pure-seller limit rule, so a packed bid gets exactly the errors and
+// results of an unpacked one. The memo is reused only for registry size
+// r and only while Bundles is the slice that was packed; its vectors
+// must not be written afterwards. A failed Pack leaves no memo. Pack
+// writes the bid, so its owner serializes it with every reader, as it
+// would any other write; a nil pk packs into fresh slabs.
+func (b *Bid) Pack(r int, pk *Packer) error {
+	b.pack = nil
+	if pk == nil {
+		pk = &Packer{}
+	}
+	sparse, class, err := b.check(r, pk)
+	if err != nil {
+		return err
+	}
+	m := pk.memo()
+	*m = bidPack{sparse: sparse, class: class, r: r, bundles: &b.Bundles[0]}
+	b.pack = m
+	return nil
+}
+
+// Unpack drops the bid's memo, so the slabs it points into can be
+// freed once no other memo or auction holds them. Like Pack, it writes
+// the bid.
+func (b *Bid) Unpack() { b.pack = nil }
+
+// check is the bid's one validation pass, shared by Validate, Pack,
+// NewProxy and NewAuction: the header checks, then the dense pass over
+// the bundles — or, for a bid packed against the same registry size and
+// Bundles slice, that pass's memo — then the pure-seller limit rule.
+// Errors come in a fixed order: header, then per bundle its length, its
+// first non-finite component and its emptiness, then a pure seller's
+// positive limit. When pk is non-nil and no memo applies, the non-zeros
+// are packed as they are read, into exact-size slices of pk's slabs;
+// Validate passes nil and packs nothing.
+func (b *Bid) check(r int, pk *Packer) ([]sparseBundle, Class, error) {
 	if b.User == "" {
 		return nil, 0, errors.New("core: bid has empty user")
 	}
@@ -153,6 +207,32 @@ func (b *Bid) check(r int, pk *packer) ([]sparseBundle, Class, error) {
 			}
 		}
 	}
+	var sparse []sparseBundle
+	var class Class
+	if m := b.pack; m != nil && m.r == r && len(m.sparse) == len(b.Bundles) && m.bundles == &b.Bundles[0] {
+		sparse, class = m.sparse, m.class
+	} else {
+		var err error
+		if sparse, class, err = b.scan(r, pk); err != nil {
+			return nil, 0, err
+		}
+	}
+	if class == PureSeller {
+		// A pure seller asking to be *paid* a positive amount must use
+		// a negative limit.
+		for i := range b.Bundles {
+			if b.LimitFor(i) > 0 {
+				return nil, 0, fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
+			}
+		}
+	}
+	return sparse, class, nil
+}
+
+// scan is check's dense pass: one loop per bundle tests every component
+// for finiteness and notes the signs of the non-zeros, from which the
+// bid's Class follows, packing the non-zeros into pk when it is non-nil.
+func (b *Bid) scan(r int, pk *Packer) ([]sparseBundle, Class, error) {
 	var sparse []sparseBundle
 	if pk != nil {
 		sparse = pk.bundles(len(b.Bundles))
@@ -209,21 +289,13 @@ func (b *Bid) check(r int, pk *packer) ([]sparseBundle, Class, error) {
 			sparse[i] = pk.take(start)
 		}
 	}
-	class := PureBuyer
 	switch dir {
 	case 0:
-		class = Trader
+		return sparse, Trader, nil
 	case -1:
-		class = PureSeller
-		// A pure seller asking to be *paid* a positive amount must use
-		// a negative limit.
-		for i := range b.Bundles {
-			if b.LimitFor(i) > 0 {
-				return nil, 0, fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
-			}
-		}
+		return sparse, PureSeller, nil
 	}
-	return sparse, class, nil
+	return sparse, PureBuyer, nil
 }
 
 // BestAffordable returns the bundle the proxy demands at prices p: the
@@ -270,7 +342,7 @@ func NewProxy(b *Bid) (*Proxy, error) {
 		r = len(b.Bundles[0])
 	}
 	px := &Proxy{}
-	if err := px.wrap(b, r, &packer{}); err != nil {
+	if err := px.wrap(b, r, &Packer{}); err != nil {
 		return nil, err
 	}
 	return px, nil
@@ -278,7 +350,7 @@ func NewProxy(b *Bid) (*Proxy, error) {
 
 // wrap validates b against registry size r and makes px its proxy, with
 // the bundles packed by pk.
-func (px *Proxy) wrap(b *Bid, r int, pk *packer) error {
+func (px *Proxy) wrap(b *Bid, r int, pk *Packer) error {
 	sparse, class, err := b.check(r, pk)
 	if err != nil {
 		return err

@@ -222,5 +222,28 @@ func TestValidateMatchesNewAuctionErrors(t *testing.T) {
 		if _, err := NewProxy(&c.bid); err == nil {
 			t.Errorf("%s: NewProxy accepted", c.name)
 		}
+		// Packed: Pack refuses with the same words, and a twin packed
+		// while valid — on the case's own bundles when those pass — then
+		// given the case's fields is refused the same way: a memo never
+		// hides an error.
+		p := c.bid
+		if got := errText(p.Pack(reg.Len(), nil)); got != c.want {
+			t.Errorf("%s: Pack = %s, want %s", c.name, got, c.want)
+		}
+		twin := Bid{User: "v", Bundles: c.bid.Bundles, Limit: -1}
+		if twin.Pack(reg.Len(), nil) != nil {
+			twin = Bid{User: "v", Bundles: []resource.Vector{{1, 0}}, Limit: 1}
+			if err := twin.Pack(reg.Len(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		twin.User, twin.Bundles, twin.Limit, twin.BundleLimits = c.bid.User, c.bid.Bundles, c.bid.Limit, c.bid.BundleLimits
+		if got := errText(twin.Validate(reg.Len())); got != c.want {
+			t.Errorf("%s: packed Validate = %s, want %s", c.name, got, c.want)
+		}
+		_, err = NewAuction(reg, []*Bid{&twin}, Config{Start: start})
+		if got := errText(err); got != c.want {
+			t.Errorf("%s: packed NewAuction = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -282,7 +282,7 @@ func (a *Auction) buildPartition() *partitionState {
 		c.bids = append(c.bids, int32(i))
 	}
 
-	var pk packer
+	var pk Packer
 	for _, c := range comps {
 		subReg := resource.NewRegistry()
 		subStart := make(resource.Vector, len(c.pools))

@@ -16,15 +16,19 @@ type sparseBundle struct {
 // allocates about what it uses, and a 20k-bid batch shares a few dozen.
 const maxSlab = 4096
 
-// packer carves exact-size sparse bundles out of shared slabs, so packing
-// a batch of bids costs a few slab allocations instead of append growth
-// per bundle. A carved slice has len == cap, so nothing appended to one
-// can reach its neighbour; the slabs stay reachable for exactly as long
-// as some bundle still points into them.
-type packer struct {
+// Packer carves exact-size sparse bundles, and the memos Bid.Pack keeps,
+// out of shared slabs, so packing a batch of bids costs a few slab
+// allocations instead of append growth per bundle. A carved slice has
+// len == cap, so nothing appended to one can reach its neighbour; the
+// slabs stay reachable for exactly as long as some bundle or memo still
+// points into them. The zero value is ready to use. A Packer is not
+// safe for concurrent use: its owner serializes the Pack calls that
+// share it.
+type Packer struct {
 	idx     []int32
 	val     []float64
 	headers []sparseBundle
+	memos   []bidPack
 }
 
 // grow returns s when it has room for n more elements, else a fresh
@@ -38,23 +42,30 @@ func grow[T any](s []T, n int) []T {
 
 // reserve makes room for a bundle of up to r non-zeros and returns the
 // offset its components will be appended from.
-func (pk *packer) reserve(r int) int {
+func (pk *Packer) reserve(r int) int {
 	pk.idx, pk.val = grow(pk.idx, r), grow(pk.val, r)
 	return len(pk.idx)
 }
 
 // take carves the components appended since start into a sparse bundle.
-func (pk *packer) take(start int) sparseBundle {
+func (pk *Packer) take(start int) sparseBundle {
 	end := len(pk.idx)
 	return sparseBundle{idx: pk.idx[start:end:end], val: pk.val[start:end:end]}
 }
 
 // bundles carves n sparse-bundle headers.
-func (pk *packer) bundles(n int) []sparseBundle {
+func (pk *Packer) bundles(n int) []sparseBundle {
 	pk.headers = grow(pk.headers, n)
 	start := len(pk.headers)
 	pk.headers = pk.headers[:start+n]
 	return pk.headers[start : start+n : start+n]
+}
+
+// memo carves one Bid.Pack memo.
+func (pk *Packer) memo() *bidPack {
+	pk.memos = grow(pk.memos, 1)
+	pk.memos = pk.memos[:len(pk.memos)+1]
+	return &pk.memos[len(pk.memos)-1]
 }
 
 // dot computes qᵀp touching only non-zero components.

@@ -12,7 +12,7 @@ import (
 // packOne packs q through the bid validation pass, as NewAuction does.
 func packOne(q resource.Vector) (sparseBundle, error) {
 	b := &Bid{User: "u", Bundles: []resource.Vector{q}}
-	sparse, _, err := b.check(len(q), &packer{})
+	sparse, _, err := b.check(len(q), &Packer{})
 	if err != nil {
 		return sparseBundle{}, err
 	}

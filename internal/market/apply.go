@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // The apply layer: one deterministic mutator per event kind. Recovery
@@ -83,10 +84,19 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 		return fmt.Errorf("market: replay: order %d out of sequence (stripe holds %d orders)",
 			o.ID, len(os.orders))
 	}
+	// The replayed bid is packed as the live submit packed it, so a
+	// recovered book equals the live one; a bid the live check would
+	// have refused marks the journal as corrupt.
 	as.mu.Lock()
-	e.bookOrderLocked(os, as, o)
+	err := e.packBid(o.Bid, as)
+	if err == nil {
+		e.bookOrderLocked(os, as, o)
+	}
 	as.mu.Unlock()
 	os.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("market: replay: order %d: %w", o.ID, err)
+	}
 	// Each live submit consumed one round-robin slot; advancing the
 	// counter per replayed order restores the stripe rotation.
 	e.submitSeq.Add(1)
@@ -120,6 +130,7 @@ func (e *Exchange) applyOrderCancelled(ev *Event) error {
 		return fmt.Errorf("market: replay: cancelling order %d in state %s", o.ID, o.Status)
 	}
 	o.Status = Cancelled
+	o.Bid.Unpack()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -156,6 +167,7 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 		o.Attempts = ev.Attempts
 	}
 	o.Status = ev.Status
+	o.Bid.Unpack()
 	os.openCount--
 	if ev.Status == Won {
 		o.Allocation = ev.Allocation
@@ -167,11 +179,10 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 	case Won:
 		e.settleWin(o)
 		e.creditBalance(OperatorAccount, o.Payment)
+		own, counter := settlementMemos(o.ID)
 		e.appendLedger([]LedgerEntry{
-			{Auction: ev.Auction, Team: o.Team, Amount: -o.Payment,
-				Memo: fmt.Sprintf("order %d settlement", o.ID)},
-			{Auction: ev.Auction, Team: OperatorAccount, Amount: o.Payment,
-				Memo: fmt.Sprintf("counterparty for order %d", o.ID)},
+			{Auction: ev.Auction, Team: o.Team, Amount: -o.Payment, Memo: own},
+			{Auction: ev.Auction, Team: OperatorAccount, Amount: o.Payment, Memo: counter},
 		})
 		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, o.Allocation)
 	case Lost, Unsettled:
@@ -180,6 +191,21 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 		return fmt.Errorf("market: replay: order %d settled to non-terminal state %s", o.ID, ev.Status)
 	}
 	return nil
+}
+
+// settlementMemos returns a won order's two ledger memos, "order <id>
+// settlement" and "counterparty for order <id>", cut from one string:
+// one allocation per winner instead of two formatted ones.
+func settlementMemos(id int) (own, counter string) {
+	var buf [64]byte
+	b := append(buf[:0], "order "...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, " settlement"...)
+	k := len(b)
+	b = append(b, "counterparty for order "...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	s := string(b)
+	return s[:k], s[k:]
 }
 
 func (e *Exchange) applyAuctionCleared(ev *Event) error {

@@ -235,7 +235,9 @@ func (c *Config) applyDefaults() {
 //   - The order book is split into Config.Shards stripes keyed by order
 //     ID, the account book into stripes keyed by team. Submits, cancels,
 //     status polls, and balance reads in different stripes never touch
-//     the same lock, and every stripe's critical section is O(1).
+//     the same lock, and every stripe's critical section is O(1),
+//     except that admission validates and packs the bid, one pass over
+//     its bundles, inside its account stripe's budget check.
 //   - The billing ledger and the auction history each have their own
 //     lock; settlement appends a whole auction's ledger entries in one
 //     critical section, so LedgerBalanced holds at every observable
@@ -281,6 +283,9 @@ type Exchange struct {
 	submitSeq     atomic.Uint64
 	orderShards   []orderShard
 	accountShards []accountShard
+	// packer holds the Packer admissions share (see packBid), or nil
+	// while one admission has taken it.
+	packer atomic.Pointer[core.Packer]
 
 	ledgerMu sync.RWMutex
 	ledger   []LedgerEntry
@@ -331,6 +336,7 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		e.accountShards[i].balances = make(map[string]float64)
 		e.accountShards[i].openBuy = make(map[string]float64)
 	}
+	e.packer.Store(new(core.Packer))
 	op := e.accountShardFor(OperatorAccount)
 	op.balances[OperatorAccount] = 0
 	e.journal = cfg.Journal
@@ -390,9 +396,13 @@ func (e *Exchange) Balance(team string) (float64, error) {
 // bid: it is cloned before entry — core.NewAuction holds bids by
 // reference and the clock reads booked bids lock-free — so the caller is
 // free to reuse its vectors after Submit returns. From then on the
-// exchange owns the clone and never writes it again; a won order's
-// Allocation is one of its bundles. The returned Order is a snapshot;
-// poll Order/Orders for settlement status.
+// exchange owns the clone and never writes its fields again; a won
+// order's Allocation is one of its bundles. Only the exchange packs the
+// clone (core.Bid.Pack): admission packs it under the team's account
+// stripe lock, and the pack is dropped under the order's stripe lock
+// when the order leaves Open — won, lost, unsettled or cancelled — so
+// only open orders hold packed memory. The returned Order is a
+// snapshot; poll Order/Orders for settlement status.
 func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 	if err := e.rejectIfDegraded(); err != nil {
 		return nil, e.rejected(err)
@@ -416,16 +426,15 @@ func (e *Exchange) book(team string, b *core.Bid) (*Order, error) {
 	if b.User == "" {
 		b.User = team
 	}
-	if err := b.Validate(e.reg.Len()); err != nil {
-		return nil, e.rejected(err)
-	}
 
-	// Budget pre-check on the team's account stripe, without committing.
-	// MaxLimit is the bid's worst-case payment exposure: the scalar
-	// Limit, or the largest per-bundle limit for vector-π bids. Checking
-	// here keeps a rejected submit from advancing the round-robin stripe
-	// pointer, so serial traffic reproduces the unsharded book's ID
-	// sequence exactly.
+	// The bid's validation pass, then the budget pre-check, both on the
+	// team's account stripe and without committing. The pass packs the
+	// bid (packBid), so the auction that clears it reads no dense
+	// bundle. MaxLimit is the bid's worst-case
+	// payment exposure: the scalar Limit, or the largest per-bundle limit
+	// for vector-π bids. Checking here keeps a rejected submit from
+	// advancing the round-robin stripe pointer, so serial traffic
+	// reproduces the unsharded book's ID sequence exactly.
 	as := e.accountShardFor(team)
 	exp := b.MaxLimit()
 	budgetOK := func() error {
@@ -442,7 +451,10 @@ func (e *Exchange) book(team string, b *core.Bid) (*Order, error) {
 		return nil
 	}
 	as.mu.Lock()
-	err := budgetOK()
+	err := e.packBid(b, as)
+	if err == nil {
+		err = budgetOK()
+	}
 	as.mu.Unlock()
 	if err != nil {
 		return nil, e.rejected(err)
@@ -488,6 +500,22 @@ func (e *Exchange) book(team string, b *core.Bid) (*Order, error) {
 	os.mu.Unlock()
 	e.metrics.submitted.Add(1)
 	return snap, nil
+}
+
+// packBid runs b's validation pass and packs it (core.Bid.Pack); the
+// caller holds the account stripe lock of as. The bid is packed into the
+// exchange's shared Packer when no other admission holds it, so
+// consecutive admissions fill the same slabs in order, which keeps the
+// memory an auction reads together and the slabs' unused tails few.
+// Taking the shared Packer never waits: an admission that finds it taken
+// packs into its account stripe's own Packer, which as.mu guards.
+func (e *Exchange) packBid(b *core.Bid, as *accountShard) error {
+	if pk := e.packer.Swap(nil); pk != nil {
+		err := b.Pack(e.reg.Len(), pk)
+		e.packer.Store(pk)
+		return err
+	}
+	return b.Pack(e.reg.Len(), &as.pk)
 }
 
 // releaseCommitment removes an order leaving the Open state from its
@@ -613,6 +641,7 @@ func (e *Exchange) Cancel(id int) error {
 		}
 	}
 	o.Status = Cancelled
+	o.Bid.Unpack()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -654,6 +683,7 @@ func (e *Exchange) OpenOrderCount() int {
 // in ID order.
 func (e *Exchange) OpenOrders() []*Order {
 	var out []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
@@ -663,9 +693,9 @@ func (e *Exchange) OpenOrders() []*Order {
 			}
 		}
 		os.mu.RUnlock()
+		ends[s] = len(out)
 	}
-	sortOrdersByID(out)
-	return out
+	return mergeRuns(out, ends, orderID)
 }
 
 // lastClearingPrices returns the prices of the most recent converged
@@ -691,6 +721,7 @@ func (e *Exchange) LastClearingPrices() resource.Vector { return e.lastClearingP
 // pollers should prefer OrdersTail, which bounds the copy.
 func (e *Exchange) Orders() []*Order {
 	var out []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
@@ -698,9 +729,9 @@ func (e *Exchange) Orders() []*Order {
 			out = append(out, o.snapshot())
 		}
 		os.mu.RUnlock()
+		ends[s] = len(out)
 	}
-	sortOrdersByID(out)
-	return out
+	return mergeRuns(out, ends, orderID)
 }
 
 // OrdersTail returns snapshots of the limit highest-ID (most recent)
@@ -752,19 +783,19 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 		}
 	}
 	out := make([]*Order, 0, len(ids))
+	ends := make([]int, n)
 	for s, sp := range spans {
-		if sp.lo < 0 {
-			continue
+		if sp.lo >= 0 {
+			os := &e.orderShards[s]
+			os.mu.RLock()
+			for j := sp.lo; j <= sp.hi && j < len(os.orders); j++ {
+				out = append(out, os.orders[j].snapshot())
+			}
+			os.mu.RUnlock()
 		}
-		os := &e.orderShards[s]
-		os.mu.RLock()
-		for j := sp.lo; j <= sp.hi && j < len(os.orders); j++ {
-			out = append(out, os.orders[j].snapshot())
-		}
-		os.mu.RUnlock()
+		ends[s] = len(out)
 	}
-	sortOrdersByID(out)
-	return out
+	return mergeRuns(out, ends, orderID)
 }
 
 // Ledger returns a copy of the billing entries — the full-dump path.
@@ -867,32 +898,39 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 	return out
 }
 
-// assemble snapshots the open batch and maps it, plus operator supply,
-// into clock-auction bids without claiming the batch (the non-binding
-// path used by PreliminaryPrices). Bids are frozen, so reading them
-// lock-free afterwards is safe.
-func (e *Exchange) assemble() ([]*core.Bid, []*Order, error) {
-	var open []*Order
+// assemble maps the open batch, plus operator supply, into
+// clock-auction bids without claiming the batch (the non-binding path
+// used by PreliminaryPrices). The orders stay cancellable and settleable
+// meanwhile, and leaving Open unpacks a bid (core.Bid.Unpack), so each
+// bid is copied under its stripe lock: the auction reads the copies and
+// never observes a concurrent Unpack.
+func (e *Exchange) assemble() ([]*core.Bid, error) {
+	type openBid struct {
+		id  int
+		bid core.Bid
+	}
+	var open []openBid
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		for _, o := range os.open {
 			if o.Status == Open {
-				open = append(open, o)
+				open = append(open, openBid{id: o.ID, bid: *o.Bid})
 			}
 		}
 		os.mu.RUnlock()
+		ends[s] = len(open)
 	}
 	if len(open) == 0 {
-		return nil, nil, ErrNoOpenOrders
+		return nil, ErrNoOpenOrders
 	}
-	sortOrdersByID(open)
+	open = mergeRuns(open, ends, func(ob openBid) int { return ob.id })
 	bids := make([]*core.Bid, 0, len(open)+1)
-	for _, o := range open {
-		bids = append(bids, o.Bid)
+	for i := range open {
+		bids = append(bids, &open[i].bid)
 	}
-	bids = append(bids, e.operatorSupply()...)
-	return bids, open, nil
+	return append(bids, e.operatorSupply()...), nil
 }
 
 // claimBatch assembles the open batch for a binding auction and marks
@@ -900,11 +938,15 @@ func (e *Exchange) assemble() ([]*core.Bid, []*Order, error) {
 // clock runs. Each stripe is claimed under its own lock and compacted in
 // the same pass (terminal orders left behind by earlier settlements are
 // dropped from the claim list here, so settlement itself never scans);
-// the merged batch is then sorted back into global ID order, preserving
-// the unsharded book's batch semantics. The batch must later be released
-// — by settlement or by releaseBatch on an error path.
+// the stripes' claims are then merged back into global ID order,
+// preserving the unsharded book's batch semantics. The batch must later
+// be released — by settlement or by releaseBatch on an error path. The
+// claimed bids are handed to the auction by reference: until the batch
+// is released nothing else may move its orders out of Open, so nothing
+// unpacks them.
 func (e *Exchange) claimBatch() ([]*core.Bid, []*Order, error) {
 	var open []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.Lock()
@@ -923,11 +965,12 @@ func (e *Exchange) claimBatch() ([]*core.Bid, []*Order, error) {
 		}
 		os.open = kept
 		os.mu.Unlock()
+		ends[s] = len(open)
 	}
 	if len(open) == 0 {
 		return nil, nil, ErrNoOpenOrders
 	}
-	sortOrdersByID(open)
+	open = mergeRuns(open, ends, orderID)
 	bids := make([]*core.Bid, 0, len(open)+1)
 	for _, o := range open {
 		bids = append(bids, o.Bid)
@@ -958,7 +1001,7 @@ func (e *Exchange) releaseBatch(open []*Order) {
 // is exactly where in-progress prices are useful feedback, so display
 // paths should render them marked preliminary rather than fail.
 func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, err error) {
-	bids, _, err := e.assemble()
+	bids, err := e.assemble()
 	if err != nil {
 		return nil, false, err
 	}
@@ -1072,8 +1115,10 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// recovery replays. A crash that tears the batch leaves a prefix of
 	// whole frames without the record: the replayed book shows a
 	// partially settled batch — per-order events are self-contained —
-	// and the next process's clock reuses the auction number.
-	evs := make([]*Event, 0, len(open)+1)
+	// and the next process's clock reuses the auction number. The events
+	// are values in one slab, so a firehose subscriber holding any of
+	// them keeps the whole slab alive.
+	slab := make([]Event, 0, len(open)+1)
 	var unsettled uint64
 	if runErr != nil {
 		// Failed clock: the final prices are not clearing prices, so
@@ -1083,11 +1128,11 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		// trader pair cannot livelock every future epoch.
 		for _, o := range open {
 			if o.Attempts+1 >= e.cfg.MaxAuctionAttempts {
-				evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
+				slab = append(slab, Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
 					Status: Unsettled, Attempts: o.Attempts + 1})
 				unsettled++
 			} else {
-				evs = append(evs, &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
+				slab = append(slab, Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
 					Attempts: o.Attempts + 1})
 			}
 		}
@@ -1099,10 +1144,10 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		// holds at every observable instant.
 		for i, o := range open {
 			if !res.IsWinner(i) {
-				evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost})
+				slab = append(slab, Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost})
 				continue
 			}
-			evs = append(evs, &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
+			slab = append(slab, Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
 				Allocation: res.Allocations[i], Payment: res.Payments[i]})
 			rec.Settled++
 			// γ_u is measured against the limit that governed the *winning*
@@ -1116,7 +1161,11 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		// events post (the exchange clears every trade against the
 		// operator account), so no further entry is needed here.
 	}
-	evs = append(evs, &Event{Kind: EvAuctionCleared, Record: rec})
+	slab = append(slab, Event{Kind: EvAuctionCleared, Record: rec})
+	evs := make([]*Event, len(slab))
+	for i := range slab {
+		evs[i] = &slab[i]
+	}
 	if err := e.journalEvents(evs...); err != nil {
 		e.releaseBatch(open)
 		return nil, nil, err

@@ -1,8 +1,9 @@
 package market
 
 import (
-	"sort"
 	"sync"
+
+	"clustermarket/internal/core"
 )
 
 // DefaultShards is the stripe count an Exchange uses when Config.Shards
@@ -38,6 +39,9 @@ type accountShard struct {
 	// openBuy is each team's summed positive limits over open orders —
 	// maintained incrementally so Submit's budget check is O(1).
 	openBuy map[string]float64
+	// pk packs the bids its teams submit while another admission holds
+	// the exchange's shared Packer (see packBid). Guarded by mu.
+	pk core.Packer
 }
 
 // orderShardFor returns the stripe holding order id, or nil for a
@@ -78,9 +82,30 @@ func (e *Exchange) liveOrder(id int) *Order {
 	return os.orders[j]
 }
 
-// sortOrdersByID puts a cross-shard gather back into global ID order —
-// for serial traffic, exactly the submission order the unsharded book
-// used, which keeps batch assembly and display paths deterministic.
-func sortOrdersByID(out []*Order) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// mergeRuns merges per-stripe runs back into global ID order — for
+// serial traffic, exactly the submission order the unsharded book used,
+// which keeps batch assembly and display paths deterministic. Run s is
+// all[ends[s-1]:ends[s]] (from 0 for s = 0) and is already in ascending
+// ID order, as every stripe keeps its orders and its claim list, so a
+// merge of the heads replaces a sort: O(len(all)·stripes) comparisons.
+func mergeRuns[T any](all []T, ends []int, id func(T) int) []T {
+	out := make([]T, 0, len(all))
+	next := make([]int, len(ends))
+	for s := 1; s < len(ends); s++ {
+		next[s] = ends[s-1]
+	}
+	for len(out) < len(all) {
+		best := -1
+		for s, i := range next {
+			if i < ends[s] && (best < 0 || id(all[i]) < id(all[next[best]])) {
+				best = s
+			}
+		}
+		out = append(out, all[next[best]])
+		next[best]++
+	}
+	return out
 }
+
+// orderID keys mergeRuns over orders.
+func orderID(o *Order) int { return o.ID }

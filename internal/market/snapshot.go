@@ -150,10 +150,12 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 		TaskSeq:   e.fleet.TaskSeq(),
 	}
 	var orders []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		orders = append(orders, e.orderShards[s].orders...)
+		ends[s] = len(orders)
 	}
-	sortOrdersByID(orders)
+	orders = mergeRuns(orders, ends, orderID)
 	st.Orders = make([]orderState, len(orders))
 	for i, o := range orders {
 		st.Orders[i] = orderState{ID: o.ID, Team: o.Team, Bid: o.Bid, Status: o.Status,
@@ -226,6 +228,10 @@ func (e *Exchange) restoreState(raw []byte) error {
 		}
 		os.orders = append(os.orders, o)
 		if o.Status == Open {
+			// Open orders are packed as at admission (see book).
+			if err := e.packBid(o.Bid, e.accountShardFor(o.Team)); err != nil {
+				return fmt.Errorf("order %d: %w", o.ID, err)
+			}
 			os.open = append(os.open, o)
 			os.openCount++
 		}

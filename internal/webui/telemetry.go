@@ -2,6 +2,7 @@ package webui
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -373,11 +374,17 @@ func parseEventParams(r *http.Request) (eventParams, error) {
 	return p, nil
 }
 
+// eventWriteTimeout bounds how long one SSE event may take to reach the
+// client's socket. A variable only so tests can shorten it.
+var eventWriteTimeout = 10 * time.Second
+
 // serveEvents streams the firehose over SSE until the client
 // disconnects (or max events have been sent). The subscription's
 // bounded buffer is the whole backpressure story: a stalled client
 // loses old events (visible in the envelope's dropped counter) and the
-// market's hot paths never block on this handler.
+// market's hot paths never block on this handler. A client that stops
+// reading altogether is dropped once an event's write outlasts
+// eventWriteTimeout, which releases its subscription.
 func serveEvents(w http.ResponseWriter, r *http.Request, fire *telemetry.Firehose) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -392,17 +399,34 @@ func serveEvents(w http.ResponseWriter, r *http.Request, fire *telemetry.Firehos
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
+	}
+	// The stream reads no body, so it clears any body-read deadline the
+	// server set: net/http's background read would otherwise cancel the
+	// stream's context when that deadline fired. Write deadlines are set
+	// per event and cleared on the way out, so a kept-alive connection
+	// is not left with a stale one. A writer that takes no deadlines
+	// (http.ErrNotSupported) streams without them.
+	rc := http.NewResponseController(w)
+	if err := rc.SetReadDeadline(time.Time{}); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return
+	}
+	defer rc.SetWriteDeadline(time.Time{})
+	// armWrite gives the next write eventWriteTimeout to reach the socket.
+	armWrite := func() bool {
+		err := rc.SetWriteDeadline(time.Now().Add(eventWriteTimeout))
+		return err == nil || errors.Is(err, http.ErrNotSupported)
 	}
 	sub := fire.Subscribe(p.buf)
 	defer sub.Close()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	if !armWrite() || rc.Flush() != nil {
+		return
+	}
 
 	sent := 0
 	for {
@@ -427,8 +451,12 @@ func serveEvents(w http.ResponseWriter, r *http.Request, fire *telemetry.Firehos
 				// contract — skip the event rather than corrupt the stream.
 				continue
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
-			flusher.Flush()
+			if !armWrite() {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data); err != nil || rc.Flush() != nil {
+				return
+			}
 			sent++
 			if p.max > 0 && sent >= p.max {
 				return

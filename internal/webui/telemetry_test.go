@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -479,4 +480,47 @@ func FuzzEventsQueryParams(f *testing.F) {
 		}
 		io.Copy(io.Discard, resp.Body)
 	})
+}
+
+// TestEventsDropsStalledReader: a client that stops reading the SSE
+// stream altogether is dropped once one event's write outlasts
+// eventWriteTimeout, and dropping it releases its subscription. Without
+// the write deadline the handler would block on the full socket for as
+// long as the client held the connection open.
+func TestEventsDropsStalledReader(t *testing.T) {
+	saved := eventWriteTimeout
+	eventWriteTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { eventWriteTimeout = saved })
+
+	s, _, fire := telemetryFixture(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetReadBuffer(4 << 10)
+	}
+	if _, err := conn.Write([]byte("GET /api/events HTTP/1.1\r\nHost: marketd\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for fire.Subscribers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Large events fill the socket buffers quickly; the client reads
+	// nothing, so a write soon blocks past its deadline.
+	blob := strings.Repeat("x", 64<<10)
+	for fire.Subscribers() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a client that stopped reading was never dropped")
+		}
+		fire.Publish("test", "blob", blob)
+		time.Sleep(time.Millisecond)
+	}
 }
