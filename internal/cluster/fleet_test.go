@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -145,6 +146,53 @@ func TestApplyAllocation(t *testing.T) {
 	}
 	if g := l.Granted("team", "r2"); g.Disk != 3 {
 		t.Errorf("r2 quota = %v", g)
+	}
+}
+
+// TestApplyAllocationMatchesPerPoolGrants: applying an allocation with
+// one grant per cluster leaves every quota bit-identical to one Grant
+// per non-zero pool, over random allocations that buy, sell past zero
+// (the clamp) and interleave clusters out of registry order.
+func TestApplyAllocationMatchesPerPoolGrants(t *testing.T) {
+	var pools []resource.Pool
+	for _, c := range []string{"a", "b", "c"} {
+		for _, d := range resource.StandardDimensions {
+			pools = append(pools, resource.Pool{Cluster: c, Dim: d})
+		}
+	}
+	// A pool of cluster a registered after the others splits its run.
+	pools[1], pools[7] = pools[7], pools[1]
+	reg := resource.NewRegistry(pools...)
+	rng := rand.New(rand.NewSource(5))
+	batched, perPool := NewQuotaLedger(), NewQuotaLedger()
+	for n := 0; n < 500; n++ {
+		team := []string{"x", "y"}[rng.Intn(2)]
+		alloc := reg.Zero()
+		for i := range alloc {
+			if rng.Intn(3) == 0 {
+				alloc[i] = (rng.Float64() - 0.6) * 10
+			}
+		}
+		batched.ApplyAllocation(reg, team, alloc)
+		for i, q := range alloc {
+			if q != 0 {
+				p := reg.Pool(i)
+				perPool.Grant(team, p.Cluster, Usage{}.Set(p.Dim, q))
+			}
+		}
+	}
+	got, want := batched.Grants(), perPool.Grants()
+	if len(got) != len(want) {
+		t.Fatalf("%d grants, per-pool path has %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Team != w.Team || g.Cluster != w.Cluster ||
+			math.Float64bits(g.Quota.CPU) != math.Float64bits(w.Quota.CPU) ||
+			math.Float64bits(g.Quota.RAM) != math.Float64bits(w.Quota.RAM) ||
+			math.Float64bits(g.Quota.Disk) != math.Float64bits(w.Quota.Disk) {
+			t.Fatalf("grant %d = %+v, per-pool path %+v", i, g, w)
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func TestPackMemoGuard(t *testing.T) {
 			`core: pure seller "s" has positive limit 2 (minimum receipt is encoded as a negative limit)`},
 		{"bundles replaced by an empty one", func(b *Bid) { b.Bundles = []resource.Vector{{-1, 0}, {0, 0}} },
 			`core: bid "s" bundle 1 is empty`},
-		{"bundles truncated to a buyer's", func(b *Bid) { b.Bundles = append(b.Bundles[:0:0], resource.Vector{1, 0}); b.Limit = 3 },
+		{"bundles replaced by a buyer's", func(b *Bid) { b.Bundles = []resource.Vector{{1, 0}}; b.Limit = 3 },
 			`<nil>`},
 	} {
 		b := packedSeller()
@@ -182,6 +182,18 @@ func TestPackMemoGuard(t *testing.T) {
 	}
 	if px := a.proxies[0]; px.class != PureBuyer || len(px.sparse) != 1 || px.sparse[0].val[0] != 3 {
 		t.Errorf("replaced bundles read the stale memo: class %v sparse %+v", px.class, px.sparse)
+	}
+	// So is a truncated one, though it starts at the packed address.
+	b = &Bid{User: "t", Bundles: []resource.Vector{{1, 0}, {0, -2}}, Limit: 5}
+	if err := b.Pack(reg.Len(), nil); err != nil {
+		t.Fatal(err)
+	}
+	b.Bundles = b.Bundles[:1]
+	if a, err = NewAuction(reg, []*Bid{b}, Config{Start: start}); err != nil {
+		t.Fatal(err)
+	}
+	if px := a.proxies[0]; px.class != PureBuyer || len(px.sparse) != 1 {
+		t.Errorf("truncated bundles read the stale memo: class %v, %d sparse bundles", px.class, len(px.sparse))
 	}
 	// Another registry size never reuses the memo.
 	b = packedSeller()

@@ -31,19 +31,22 @@ type Packer struct {
 	memos   []bidPack
 }
 
-// grow returns s when it has room for n more elements, else a fresh
-// empty slab twice the size of s (capped at maxSlab), or n if larger.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
+// grow makes room for n more elements in *s: when it has none, *s
+// becomes a fresh empty slab twice its size (capped at maxSlab), or n
+// if larger. A slab with room is not written back, which spares the
+// pointer write, and its write barrier while the GC marks, that
+// returning the slice would cost on every bundle packed.
+func grow[T any](s *[]T, n int) {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, min(2*cap(*s), maxSlab)))
 	}
-	return make([]T, 0, max(n, min(2*cap(s), maxSlab)))
 }
 
 // reserve makes room for a bundle of up to r non-zeros and returns the
 // offset its components will be appended from.
 func (pk *Packer) reserve(r int) int {
-	pk.idx, pk.val = grow(pk.idx, r), grow(pk.val, r)
+	grow(&pk.idx, r)
+	grow(&pk.val, r)
 	return len(pk.idx)
 }
 
@@ -55,7 +58,7 @@ func (pk *Packer) take(start int) sparseBundle {
 
 // bundles carves n sparse-bundle headers.
 func (pk *Packer) bundles(n int) []sparseBundle {
-	pk.headers = grow(pk.headers, n)
+	grow(&pk.headers, n)
 	start := len(pk.headers)
 	pk.headers = pk.headers[:start+n]
 	return pk.headers[start : start+n : start+n]
@@ -63,7 +66,7 @@ func (pk *Packer) bundles(n int) []sparseBundle {
 
 // memo carves one Bid.Pack memo.
 func (pk *Packer) memo() *bidPack {
-	pk.memos = grow(pk.memos, 1)
+	grow(&pk.memos, 1)
 	pk.memos = pk.memos[:len(pk.memos)+1]
 	return &pk.memos[len(pk.memos)-1]
 }

@@ -429,12 +429,12 @@ func (e *Exchange) book(team string, b *core.Bid) (*Order, error) {
 
 	// The bid's validation pass, then the budget pre-check, both on the
 	// team's account stripe and without committing. The pass packs the
-	// bid (packBid), so the auction that clears it reads no dense
-	// bundle. MaxLimit is the bid's worst-case
-	// payment exposure: the scalar Limit, or the largest per-bundle limit
-	// for vector-π bids. Checking here keeps a rejected submit from
-	// advancing the round-robin stripe pointer, so serial traffic
-	// reproduces the unsharded book's ID sequence exactly.
+	// bid (packBid), so the auction that clears it reads no dense bundle.
+	// MaxLimit is the bid's worst-case payment exposure: the scalar
+	// Limit, or the largest per-bundle limit for vector-π bids. Checking
+	// here keeps a rejected submit from advancing the round-robin stripe
+	// pointer, so serial traffic reproduces the unsharded book's ID
+	// sequence exactly.
 	as := e.accountShardFor(team)
 	exp := b.MaxLimit()
 	budgetOK := func() error {

@@ -231,3 +231,17 @@ func TestConcurrentPackUnpack(t *testing.T) {
 		t.Error("ledger unbalanced")
 	}
 }
+
+// TestSettlementMemos: the memos cut from one string read exactly as the
+// formatted ones they replaced.
+func TestSettlementMemos(t *testing.T) {
+	for _, id := range []int{0, 7, 42, 99, 100, 123456789} {
+		own, counter := settlementMemos(id)
+		if want := fmt.Sprintf("order %d settlement", id); own != want {
+			t.Errorf("own memo %q, want %q", own, want)
+		}
+		if want := fmt.Sprintf("counterparty for order %d", id); counter != want {
+			t.Errorf("counterparty memo %q, want %q", counter, want)
+		}
+	}
+}
