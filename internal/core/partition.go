@@ -300,7 +300,7 @@ func (a *Auction) buildPartition() *partitionState {
 			src := a.proxies[bi]
 			sparse := pk.bundles(len(src.sparse))
 			for si, sb := range src.sparse {
-				grow(&pk.idx, len(sb.idx))
+				grow(&pk.idx, len(sb.idx), maxComponents)
 				start := len(pk.idx)
 				for _, g := range sb.idx {
 					pk.idx = append(pk.idx, localPool[g])

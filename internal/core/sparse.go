@@ -11,10 +11,17 @@ type sparseBundle struct {
 	val []float64
 }
 
-// maxSlab caps the elements of one packer slab. Slabs start at the
-// first request's size and double up to the cap, so a lone proxy
-// allocates about what it uses, and a 20k-bid batch shares a few dozen.
-const maxSlab = 4096
+// Slab caps, in elements. Slabs start at the first request's size and
+// double up to the cap, so a lone proxy allocates about what it uses
+// and a 20k-bid batch shares a few hundred slabs. The caps also bound
+// what a long-lived Packer keeps reachable between batches — its
+// current slabs and the few older ones they point into — to a few
+// hundred KiB: 16 and 32 KiB for a component slab, 12 KiB for a header
+// or memo slab.
+const (
+	maxComponents = 4096
+	maxHeaders    = 256
+)
 
 // Packer carves exact-size sparse bundles, and the memos Bid.Pack keeps,
 // out of shared slabs, so packing a batch of bids costs a few slab
@@ -32,21 +39,21 @@ type Packer struct {
 }
 
 // grow makes room for n more elements in *s: when it has none, *s
-// becomes a fresh empty slab twice its size (capped at maxSlab), or n
-// if larger. A slab with room is not written back, which spares the
+// becomes a fresh empty slab twice its size (capped at limit), or n if
+// larger. A slab with room is not written back, which spares the
 // pointer write, and its write barrier while the GC marks, that
 // returning the slice would cost on every bundle packed.
-func grow[T any](s *[]T, n int) {
+func grow[T any](s *[]T, n, limit int) {
 	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(n, min(2*cap(*s), maxSlab)))
+		*s = make([]T, 0, max(n, min(2*cap(*s), limit)))
 	}
 }
 
 // reserve makes room for a bundle of up to r non-zeros and returns the
 // offset its components will be appended from.
 func (pk *Packer) reserve(r int) int {
-	grow(&pk.idx, r)
-	grow(&pk.val, r)
+	grow(&pk.idx, r, maxComponents)
+	grow(&pk.val, r, maxComponents)
 	return len(pk.idx)
 }
 
@@ -58,7 +65,7 @@ func (pk *Packer) take(start int) sparseBundle {
 
 // bundles carves n sparse-bundle headers.
 func (pk *Packer) bundles(n int) []sparseBundle {
-	grow(&pk.headers, n)
+	grow(&pk.headers, n, maxHeaders)
 	start := len(pk.headers)
 	pk.headers = pk.headers[:start+n]
 	return pk.headers[start : start+n : start+n]
@@ -66,7 +73,7 @@ func (pk *Packer) bundles(n int) []sparseBundle {
 
 // memo carves one Bid.Pack memo.
 func (pk *Packer) memo() *bidPack {
-	grow(&pk.memos, 1)
+	grow(&pk.memos, 1, maxHeaders)
 	pk.memos = pk.memos[:len(pk.memos)+1]
 	return &pk.memos[len(pk.memos)-1]
 }
