@@ -156,12 +156,9 @@ func (b *Bid) Validate(r int) error {
 // r and only while Bundles is the slice that was packed; its vectors
 // must not be written afterwards. A failed Pack leaves no memo. Pack
 // writes the bid, so its owner serializes it with every reader, as it
-// would any other write; a nil pk packs into fresh slabs.
+// would any other write.
 func (b *Bid) Pack(r int, pk *Packer) error {
 	b.pack = nil
-	if pk == nil {
-		pk = &Packer{}
-	}
 	sparse, class, err := b.check(r, pk)
 	if err != nil {
 		return err

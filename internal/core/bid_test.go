@@ -227,13 +227,13 @@ func TestValidateMatchesNewAuctionErrors(t *testing.T) {
 		// given the case's fields is refused the same way: a memo never
 		// hides an error.
 		p := c.bid
-		if got := errText(p.Pack(reg.Len(), nil)); got != c.want {
+		if got := errText(p.Pack(reg.Len(), &Packer{})); got != c.want {
 			t.Errorf("%s: Pack = %s, want %s", c.name, got, c.want)
 		}
 		twin := Bid{User: "v", Bundles: c.bid.Bundles, Limit: -1}
-		if twin.Pack(reg.Len(), nil) != nil {
+		if twin.Pack(reg.Len(), &Packer{}) != nil {
 			twin = Bid{User: "v", Bundles: []resource.Vector{{1, 0}}, Limit: 1}
-			if err := twin.Pack(reg.Len(), nil); err != nil {
+			if err := twin.Pack(reg.Len(), &Packer{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -134,7 +134,7 @@ func TestPackMemoGuard(t *testing.T) {
 	start := make(resource.Vector, reg.Len())
 	packedSeller := func() *Bid {
 		b := &Bid{User: "s", Bundles: []resource.Vector{{-1, 0}, {0, -2}}, Limit: -1}
-		if err := b.Pack(reg.Len(), nil); err != nil {
+		if err := b.Pack(reg.Len(), &Packer{}); err != nil {
 			t.Fatal(err)
 		}
 		return b
@@ -185,7 +185,7 @@ func TestPackMemoGuard(t *testing.T) {
 	}
 	// So is a truncated one, though it starts at the packed address.
 	b = &Bid{User: "t", Bundles: []resource.Vector{{1, 0}, {0, -2}}, Limit: 5}
-	if err := b.Pack(reg.Len(), nil); err != nil {
+	if err := b.Pack(reg.Len(), &Packer{}); err != nil {
 		t.Fatal(err)
 	}
 	b.Bundles = b.Bundles[:1]
@@ -207,7 +207,7 @@ func TestPackMemoGuard(t *testing.T) {
 	}
 	b = packedSeller()
 	b.Bundles = []resource.Vector{{-1, 1}, {0, 0}}
-	if err := b.Pack(reg.Len(), nil); err == nil || b.pack != nil {
+	if err := b.Pack(reg.Len(), &Packer{}); err == nil || b.pack != nil {
 		t.Errorf("failed Pack: err %v, memo %v", err, b.pack)
 	}
 }

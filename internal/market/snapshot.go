@@ -228,7 +228,8 @@ func (e *Exchange) restoreState(raw []byte) error {
 		}
 		os.orders = append(os.orders, o)
 		if o.Status == Open {
-			// Open orders are packed as at admission (see book).
+			// Open orders are packed as at admission (see book); no
+			// stripe lock is needed before the exchange is shared.
 			if err := e.packBid(o.Bid, e.accountShardFor(o.Team)); err != nil {
 				return fmt.Errorf("order %d: %w", o.ID, err)
 			}
