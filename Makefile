@@ -25,13 +25,18 @@ race: ## Run the full test suite under the race detector
 vet: ## Run go vet
 	$(GO) vet ./...
 
-# Static analysis: go vet, then the repo's own marketlint analyzers
-# (maporder, replaypure, allocfree, lockdiscipline — see DESIGN.md,
-# "Static analysis & contracts") driven through vet's -vettool unit
-# protocol. staticcheck joins when installed; the CI lint job pins and
-# caches it, while a bare dev container skips it rather than failing.
+# Static analysis: gofmt (any file it would rewrite fails the target),
+# go vet, then the repo's own marketlint analyzers (maporder,
+# replaypure, allocfree, lockdiscipline — see DESIGN.md, "Static
+# analysis & contracts") driven through vet's -vettool unit protocol.
+# staticcheck joins when installed; the CI lint job pins and caches it,
+# while a bare dev container skips it rather than failing.
 MARKETLINT := bin/marketlint
-lint: vet ## go vet + marketlint (+ staticcheck when installed)
+lint: vet ## gofmt + go vet + marketlint (+ staticcheck when installed)
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need gofmt -w:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) build -o $(MARKETLINT) ./cmd/marketlint
 	$(GO) vet -vettool=$(MARKETLINT) ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -337,25 +337,29 @@ func (l *QuotaLedger) TotalGranted(cluster string) Usage {
 	return total
 }
 
-// ApplyAllocation translates a settled auction allocation vector into
-// quota adjustments: positive components grant quota, negative components
-// (sold resources) remove it. It takes the lock once and makes one grant
-// per run of same-cluster pools. That is bit-identical to one grant per
-// non-zero pool: each dimension is added and clamped on its own, and
-// adding +0 to the dimensions a pool does not touch changes nothing (a
-// grant is never −0: it starts at +0, and a round-to-nearest sum is −0
-// only when both terms are).
-func (l *QuotaLedger) ApplyAllocation(reg *resource.Registry, team string, alloc resource.Vector) {
+// ApplyAllocation translates a settled auction allocation, given in
+// sparse form — pool indices of reg in ascending order beside their
+// quantities, as core.Bid.PackedBundle returns a won bundle — into quota
+// adjustments: positive quantities grant quota, negative ones (sold
+// resources) remove it. Its cost is the allocation's non-zeros, not the
+// registry's pools. It takes the lock once and makes one grant per run
+// of same-cluster pools. That is bit-identical to one grant per non-zero
+// pool: each dimension is added and clamped on its own, and adding +0 to
+// the dimensions a pool does not touch changes nothing (a grant is never
+// −0: it starts at +0, and a round-to-nearest sum is −0 only when both
+// terms are).
+func (l *QuotaLedger) ApplyAllocation(reg *resource.Registry, team string, idx []int32, val []float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var cluster string
 	var delta Usage
 	pending := false
-	for i, q := range alloc {
+	for k, i := range idx {
+		q := val[k]
 		if q == 0 {
 			continue
 		}
-		p := reg.Pool(i)
+		p := reg.Pool(int(i))
 		if pending && p.Cluster != cluster {
 			l.grantLocked(team, cluster, delta)
 			delta = Usage{}

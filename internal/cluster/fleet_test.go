@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustermarket/internal/core"
 	"clustermarket/internal/resource"
 )
 
@@ -132,14 +133,16 @@ func TestQuotaLedger(t *testing.T) {
 func TestApplyAllocation(t *testing.T) {
 	f := newTestFleet(t)
 	reg := f.Registry()
-	alloc := reg.Zero()
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 8
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})] = 16
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.Disk})] = -2
+	idx := []int32{
+		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})),
+		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})),
+		int32(reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.Disk})),
+	}
+	val := []float64{8, 16, -2}
 
 	l := f.Quotas()
 	l.Grant("team", "r2", Usage{Disk: 5})
-	l.ApplyAllocation(reg, "team", alloc)
+	l.ApplyAllocation(reg, "team", idx, val)
 
 	if g := l.Granted("team", "r1"); g.CPU != 8 || g.RAM != 16 {
 		t.Errorf("r1 quota = %v", g)
@@ -149,10 +152,12 @@ func TestApplyAllocation(t *testing.T) {
 	}
 }
 
-// TestApplyAllocationMatchesPerPoolGrants: applying an allocation with
-// one grant per cluster leaves every quota bit-identical to one Grant
-// per non-zero pool, over random allocations that buy, sell past zero
-// (the clamp) and interleave clusters out of registry order.
+// TestApplyAllocationMatchesPerPoolGrants: applying a won bundle's
+// packed form (core.Bid.PackedBundle) with one grant per cluster leaves
+// every quota bit-identical to one Grant per non-zero pool of the dense
+// bundle, over random XOR bids whose won bundle buys, sells past zero
+// (the clamp), holds −0 components and interleaves clusters out of
+// registry order.
 func TestApplyAllocationMatchesPerPoolGrants(t *testing.T) {
 	var pools []resource.Pool
 	for _, c := range []string{"a", "b", "c"} {
@@ -164,24 +169,43 @@ func TestApplyAllocationMatchesPerPoolGrants(t *testing.T) {
 	pools[1], pools[7] = pools[7], pools[1]
 	reg := resource.NewRegistry(pools...)
 	rng := rand.New(rand.NewSource(5))
-	batched, perPool := NewQuotaLedger(), NewQuotaLedger()
+	var pk core.Packer
+	packed, perPool := NewQuotaLedger(), NewQuotaLedger()
 	for n := 0; n < 500; n++ {
 		team := []string{"x", "y"}[rng.Intn(2)]
-		alloc := reg.Zero()
-		for i := range alloc {
-			if rng.Intn(3) == 0 {
-				alloc[i] = (rng.Float64() - 0.6) * 10
+		bid := &core.Bid{User: team}
+		for len(bid.Bundles) < 1+rng.Intn(3) {
+			q := reg.Zero()
+			for i := range q {
+				switch rng.Intn(6) {
+				case 0, 1:
+					q[i] = (rng.Float64() - 0.6) * 10
+				case 2:
+					q[i] = math.Copysign(0, -1)
+				}
 			}
+			if q.IsZero() {
+				continue
+			}
+			bid.Bundles = append(bid.Bundles, q)
 		}
-		batched.ApplyAllocation(reg, team, alloc)
-		for i, q := range alloc {
+		if err := bid.Pack(reg.Len(), &pk); err != nil {
+			t.Fatal(err)
+		}
+		k := rng.Intn(len(bid.Bundles))
+		idx, val, ok := bid.PackedBundle(reg.Len(), k)
+		if !ok {
+			t.Fatal("packed bid has no packed bundle")
+		}
+		packed.ApplyAllocation(reg, team, idx, val)
+		for i, q := range bid.Bundles[k] {
 			if q != 0 {
 				p := reg.Pool(i)
 				perPool.Grant(team, p.Cluster, Usage{}.Set(p.Dim, q))
 			}
 		}
 	}
-	got, want := batched.Grants(), perPool.Grants()
+	got, want := packed.Grants(), perPool.Grants()
 	if len(got) != len(want) {
 		t.Fatalf("%d grants, per-pool path has %d", len(got), len(want))
 	}

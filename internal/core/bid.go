@@ -174,6 +174,32 @@ func (b *Bid) Pack(r int, pk *Packer) error {
 // the bid.
 func (b *Bid) Unpack() { b.pack = nil }
 
+// PackedBundle returns bundle i's non-zero components, pool indices in
+// ascending order beside their quantities, from the memo Pack made for
+// registry size r; ok is false when the bid holds no memo that applies.
+// The slices alias the memo's slabs and must not be written.
+//
+//marketlint:allocfree
+func (b *Bid) PackedBundle(r, i int) (idx []int32, val []float64, ok bool) {
+	m := b.memo(r)
+	if m == nil {
+		return nil, nil, false
+	}
+	s := m.sparse[i]
+	return s.idx, s.val, true
+}
+
+// memo returns the bid's Pack memo when it applies: packed for registry
+// size r, from the Bundles slice the bid holds now.
+//
+//marketlint:allocfree
+func (b *Bid) memo(r int) *bidPack {
+	if m := b.pack; m != nil && m.r == r && len(m.sparse) == len(b.Bundles) && m.bundles == &b.Bundles[0] {
+		return m
+	}
+	return nil
+}
+
 // check is the bid's one validation pass, shared by Validate, Pack,
 // NewProxy and NewAuction: the header checks, then the dense pass over
 // the bundles — or, for a bid packed against the same registry size and
@@ -206,7 +232,7 @@ func (b *Bid) check(r int, pk *Packer) ([]sparseBundle, Class, error) {
 	}
 	var sparse []sparseBundle
 	var class Class
-	if m := b.pack; m != nil && m.r == r && len(m.sparse) == len(b.Bundles) && m.bundles == &b.Bundles[0] {
+	if m := b.memo(r); m != nil {
 		sparse, class = m.sparse, m.class
 	} else {
 		var err error

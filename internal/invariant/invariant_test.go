@@ -70,7 +70,7 @@ func TestCheckBalancesNonNegative(t *testing.T) {
 func TestCheckCommitmentsMatchExposure(t *testing.T) {
 	orders := []*market.Order{
 		{ID: 0, Team: "a", Status: market.Open, Bid: &core.Bid{Limit: 40}},
-		{ID: 1, Team: "a", Status: market.Won, Bid: &core.Bid{Limit: 99}}, // settled: no exposure
+		{ID: 1, Team: "a", Status: market.Won, Bid: &core.Bid{Limit: 99}},  // settled: no exposure
 		{ID: 2, Team: "b", Status: market.Open, Bid: &core.Bid{Limit: -5}}, // seller: no exposure
 	}
 	if vs := CheckCommitmentsMatchExposure(map[string]float64{"a": 40}, orders, Eps); len(vs) != 0 {

@@ -2,7 +2,11 @@ package market
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+
+	"clustermarket/internal/core"
+	"clustermarket/internal/resource"
 )
 
 // The apply layer: one deterministic mutator per event kind. Recovery
@@ -150,6 +154,11 @@ func (e *Exchange) applyOrderAttempted(ev *Event) error {
 	return nil
 }
 
+// applyOrderSettled retires an order. A won order's allocation is one
+// of its bid's bundles (wonBundle), which the order keeps, and its
+// quota grant reads that bundle's packed form — taken before Unpack
+// drops it — so settling a winner costs the bundle's non-zeros, not the
+// registry's pools.
 func (e *Exchange) applyOrderSettled(ev *Event) error {
 	o := e.liveOrder(ev.OrderID)
 	if o == nil {
@@ -161,6 +170,22 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 		os.mu.Unlock()
 		return fmt.Errorf("market: replay: settling order %d in state %s", o.ID, o.Status)
 	}
+	var idx []int32
+	var val []float64
+	if ev.Status == Won {
+		k := wonBundle(o.Bid, ev.Allocation)
+		if k < 0 {
+			os.mu.Unlock()
+			return fmt.Errorf("market: replay: order %d won an allocation none of its bundles holds", o.ID)
+		}
+		var ok bool
+		if idx, val, ok = o.Bid.PackedBundle(e.reg.Len(), k); !ok {
+			os.mu.Unlock()
+			return fmt.Errorf("market: order %d is open but its bid is not packed", o.ID)
+		}
+		o.Allocation = o.Bid.Bundles[k]
+		o.Payment = ev.Payment
+	}
 	o.inAuction = false
 	o.Auction = ev.Auction
 	if ev.Attempts > 0 {
@@ -169,10 +194,6 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 	o.Status = ev.Status
 	o.Bid.Unpack()
 	os.openCount--
-	if ev.Status == Won {
-		o.Allocation = ev.Allocation
-		o.Payment = ev.Payment
-	}
 	os.mu.Unlock()
 
 	switch ev.Status {
@@ -184,13 +205,35 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 			{Auction: ev.Auction, Team: o.Team, Amount: -o.Payment, Memo: own},
 			{Auction: ev.Auction, Team: OperatorAccount, Amount: o.Payment, Memo: counter},
 		})
-		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, o.Allocation)
+		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, idx, val)
 	case Lost, Unsettled:
 		e.releaseCommitment(o)
 	default:
 		return fmt.Errorf("market: replay: order %d settled to non-terminal state %s", o.ID, ev.Status)
 	}
 	return nil
+}
+
+// wonBundle returns the index of the bid's bundle that alloc, a won
+// order's allocation, is: the first bundle sharing alloc's backing
+// array, as the clock's allocation does on the live path, or else the
+// first bundle equal to it by value, as a decoded journal event or
+// snapshot is. It returns −1 when no bundle matches.
+func wonBundle(b *core.Bid, alloc resource.Vector) int {
+	if len(alloc) == 0 {
+		return -1
+	}
+	for k, q := range b.Bundles {
+		if len(q) == len(alloc) && &q[0] == &alloc[0] {
+			return k
+		}
+	}
+	for k, q := range b.Bundles {
+		if slices.Equal(q, alloc) {
+			return k
+		}
+	}
+	return -1
 }
 
 // settlementMemos returns a won order's two ledger memos, "order <id>

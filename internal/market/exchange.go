@@ -239,9 +239,12 @@ func (c *Config) applyDefaults() {
 //     except that admission validates and packs the bid, one pass over
 //     its bundles, inside its account stripe's budget check.
 //   - The billing ledger and the auction history each have their own
-//     lock; settlement appends a whole auction's ledger entries in one
-//     critical section, so LedgerBalanced holds at every observable
-//     instant.
+//     lock. Settlement appends each winner's ledger pair (debit and
+//     operator credit) in one critical section of its own, so every
+//     pair is atomic and LedgerBalanced holds at every instant, while a
+//     reader mid-settlement may see some of an auction's pairs and not
+//     yet the rest. The ledger is stored in fixed-size chunks, so an
+//     append never reallocates or copies the history.
 //   - auctionMu serializes binding auctions (one auctioneer at a time).
 //     The clock itself runs without any book lock: RunAuction claims the
 //     open batch stripe by stripe, iterates the clock lock-free, then
@@ -288,7 +291,7 @@ type Exchange struct {
 	packer atomic.Pointer[core.Packer]
 
 	ledgerMu sync.RWMutex
-	ledger   []LedgerEntry
+	ledger   ledger
 
 	histMu  sync.RWMutex
 	history []*AuctionRecord
@@ -563,8 +566,8 @@ func (e *Exchange) appendLedger(entries []LedgerEntry) {
 	}
 	e.ledgerMu.Lock()
 	for i := range entries {
-		entries[i].Seq = len(e.ledger)
-		e.ledger = append(e.ledger, entries[i])
+		entries[i].Seq = e.ledger.n
+		e.ledger.append(entries[i])
 	}
 	e.ledgerMu.Unlock()
 }
@@ -803,7 +806,7 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 func (e *Exchange) Ledger() []LedgerEntry {
 	e.ledgerMu.RLock()
 	defer e.ledgerMu.RUnlock()
-	return append([]LedgerEntry(nil), e.ledger...)
+	return e.ledger.from(0)
 }
 
 // LedgerTail returns the most recent limit billing entries, oldest
@@ -814,11 +817,7 @@ func (e *Exchange) LedgerTail(limit int) []LedgerEntry {
 	}
 	e.ledgerMu.RLock()
 	defer e.ledgerMu.RUnlock()
-	start := len(e.ledger) - limit
-	if start < 0 {
-		start = 0
-	}
-	return append([]LedgerEntry(nil), e.ledger[start:]...)
+	return e.ledger.from(e.ledger.n - limit)
 }
 
 // History returns the settled auction records — the full-dump path.
@@ -909,7 +908,7 @@ func (e *Exchange) assemble() ([]*core.Bid, error) {
 		id  int
 		bid core.Bid
 	}
-	var open []openBid
+	open := make([]openBid, 0, e.OpenOrderCount())
 	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
@@ -945,7 +944,7 @@ func (e *Exchange) assemble() ([]*core.Bid, error) {
 // is released nothing else may move its orders out of Open, so nothing
 // unpacks them.
 func (e *Exchange) claimBatch() ([]*core.Bid, []*Order, error) {
-	var open []*Order
+	open := make([]*Order, 0, e.OpenOrderCount())
 	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
@@ -1137,6 +1136,11 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 			}
 		}
 	} else {
+		// res.Winners ascends, so the orders' winners precede the
+		// operator supply's.
+		if wins := sort.SearchInts(res.Winners, len(open)); wins > 0 {
+			rec.Premiums = make([]float64, 0, wins)
+		}
 		// Settle orders (indices in `bids` match `open` for i < len(open)).
 		// Every order in the batch is still Open: the in-auction mark
 		// blocks cancellation while the clock runs. Each winner's ledger
@@ -1196,11 +1200,8 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 // debit has a matching credit).
 func (e *Exchange) LedgerBalanced(eps float64) bool {
 	e.ledgerMu.RLock()
-	defer e.ledgerMu.RUnlock()
-	var s float64
-	for _, le := range e.ledger {
-		s += le.Amount
-	}
+	s := e.ledger.sum()
+	e.ledgerMu.RUnlock()
 	return s < eps && s > -eps
 }
 

@@ -176,7 +176,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			}
 		}
 	}
-	st.Ledger = append([]LedgerEntry(nil), e.ledger...)
+	st.Ledger = e.ledger.from(0)
 	st.History = append([]*AuctionRecord(nil), e.history...)
 	for _, g := range e.fleet.Quotas().Grants() {
 		if g.Quota.IsZero() {
@@ -226,6 +226,15 @@ func (e *Exchange) restoreState(raw []byte) error {
 		if os == nil || o.ID/n != len(os.orders) {
 			return fmt.Errorf("order %d out of sequence", o.ID)
 		}
+		if o.Status == Won {
+			// A won order keeps the bundle it won, as live settlement
+			// leaves it, not the image's decoded copy.
+			k := wonBundle(o.Bid, o.Allocation)
+			if k < 0 {
+				return fmt.Errorf("order %d won an allocation none of its bundles holds", o.ID)
+			}
+			o.Allocation = o.Bid.Bundles[k]
+		}
 		os.orders = append(os.orders, o)
 		if o.Status == Open {
 			// Open orders are packed as at admission (see book); no
@@ -247,7 +256,9 @@ func (e *Exchange) restoreState(raw []byte) error {
 	for team, exp := range st.OpenBuy {
 		e.accountShardFor(team).openBuy[team] = exp
 	}
-	e.ledger = st.Ledger
+	for _, le := range st.Ledger {
+		e.ledger.append(le)
+	}
 	e.history = st.History
 	for _, g := range st.Quotas {
 		e.fleet.Quotas().Grant(g.Team, g.Cluster, g.Quota)
